@@ -74,7 +74,6 @@ from .witness import (
     witness_diag_m3_degenerate,
     witness_general,
 )
-from ._kernels import backend_name
 
 __version__ = "0.1.0"
 
@@ -98,7 +97,6 @@ __all__ = [
     "WitnessPair",
     "WrongDimensionError",
     "apply_lift",
-    "backend_name",
     "canonical_rep",
     "certify",
     "complement_property",

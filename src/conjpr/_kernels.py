@@ -1,252 +1,38 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
-
-Backend selection: environment variable ``CPR_BACKEND``:
-
-* ``auto`` (default) - numba-compiled kernels when numba imports, else numpy;
-* ``numba``          - require numba (ImportError if missing);
-* ``numpy``          - force the pure-numpy fallback.
-
-``CPR_THREADS`` caps the parallel witness search (0/absent = numba default).
+"""Hot numeric kernels, in numpy.
 
 Two kernels live here:
 
 * a multistart Levenberg-Marquardt search for measurement-equal,
-  class-distinct signal pairs, run either restart-by-restart under numba
-  (parallel across restarts) or batched over all restarts in numpy;
+  class-distinct signal pairs, vectorized over all restarts;
 * the alternating projection between the measurement-consistent affine set
-  and the cone of PSD rank-<=2 lifts, identical source for both backends
-  (the numpy fallback simply runs the uncompiled function).
-
-Both backends follow the same algorithm with the same per-restart starting
-points; verdicts agree, floating-point details may differ in the last bits
-(different linear solvers).
+  and the cone of PSD rank-<=2 lifts, run restart by restart.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_BACKEND = os.environ.get("CPR_BACKEND", "auto").strip().lower() or "auto"
-if _ENV_BACKEND not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"CPR_BACKEND must be auto|numba|numpy, got {_ENV_BACKEND!r}")
-
-if _ENV_BACKEND == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _ENV_BACKEND == "numba":
-            raise
-        _numba = None
-
-USING_NUMBA = _numba is not None
+from .lift import _dim_from_lift, _half_indices, _symmetric
 
 
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+def pair_search(phi, starts, delta, wpen, max_iter):
+    """Multistart pair search, batched over restarts.
 
+    Each restart runs damped Gauss-Newton on the residuals
+    r_n = |<x,phi_n>|^2 - |<y,phi_n>|^2 plus the penalty
+    wpen*max(0, delta-d)^2 on the lift distance d of (x, y), retracted to the
+    joint sphere |x|^2 + |y|^2 = 2 after every step.
 
-def configure_threads() -> None:
-    """Apply the CPR_THREADS cap to numba's thread pool (no-op on numpy)."""
-    if not USING_NUMBA:
-        return
-    raw = os.environ.get("CPR_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        want = int(raw)
-    except ValueError:
-        return
-    if want > 0:
-        _numba.set_num_threads(min(want, _numba.config.NUMBA_NUM_THREADS))
-
-
-# ---------------------------------------------------------------------------
-# scalar building blocks (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-
-def _chol_solve(A, rhs):
-    # Cholesky solve for small SPD systems; avoids LAPACK inside prange.
-    n = A.shape[0]
-    L = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            s = A[i, j]
-            for k in range(j):
-                s -= L[i, k] * L[j, k]
-            if i == j:
-                if s < 1e-300:
-                    s = 1e-300
-                L[i, i] = np.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    y = np.zeros(n)
-    for i in range(n):
-        s = rhs[i]
-        for k in range(i):
-            s -= L[i, k] * y[k]
-        y[i] = s / L[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= L[k, i] * x[k]
-        x[i] = s / L[i, i]
-    return x
-
-
-def _pair_objective(phi, z, delta, wpen):
-    # f = sum_n r_n^2 + wpen*max(0, delta-d)^2 with
-    # r_n = |<x,phi_n>|^2 - |<y,phi_n>|^2 and d the lift distance of (x, y).
-    m, n = phi.shape
-    fmeas = 0.0
-    for k in range(n):
-        pu = 0.0
-        pv = 0.0
-        ps = 0.0
-        pt = 0.0
-        for j in range(m):
-            pu += phi[j, k] * z[j]
-            pv += phi[j, k] * z[m + j]
-            ps += phi[j, k] * z[2 * m + j]
-            pt += phi[j, k] * z[3 * m + j]
-        r = pu * pu + pv * pv - ps * ps - pt * pt
-        fmeas += r * r
-    d2 = 0.0
-    for i in range(m):
-        for j in range(m):
-            w = (
-                z[i] * z[j]
-                + z[m + i] * z[m + j]
-                - z[2 * m + i] * z[2 * m + j]
-                - z[3 * m + i] * z[3 * m + j]
-            )
-            d2 += w * w
-    d = np.sqrt(d2)
-    h = delta - d
-    if h < 0.0:
-        h = 0.0
-    return fmeas + wpen * h * h, fmeas, d
-
-
-def _lm_one(phi, z0, delta, wpen, max_iter):
-    # One restart: damped Gauss-Newton on the residual vector, retracted to
-    # the joint sphere |x|^2 + |y|^2 = 2 after every step.
-    m, n = phi.shape
-    dim = 4 * m
-    z = z0.copy()
-    nz = np.sqrt(np.sum(z * z))
-    z *= np.sqrt(2.0) / nz
-    lam = 1e-3
-    f, fmeas, d = _pair_objective(phi, z, delta, wpen)
-    rho = np.zeros(n + 1)
-    J = np.zeros((n + 1, dim))
-    D = np.zeros((m, m))
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        for k in range(n):
-            pu = 0.0
-            pv = 0.0
-            ps = 0.0
-            pt = 0.0
-            for j in range(m):
-                pu += phi[j, k] * z[j]
-                pv += phi[j, k] * z[m + j]
-                ps += phi[j, k] * z[2 * m + j]
-                pt += phi[j, k] * z[3 * m + j]
-            rho[k] = pu * pu + pv * pv - ps * ps - pt * pt
-            for j in range(m):
-                J[k, j] = 2.0 * pu * phi[j, k]
-                J[k, m + j] = 2.0 * pv * phi[j, k]
-                J[k, 2 * m + j] = -2.0 * ps * phi[j, k]
-                J[k, 3 * m + j] = -2.0 * pt * phi[j, k]
-        for i in range(m):
-            for j in range(m):
-                D[i, j] = (
-                    z[i] * z[j]
-                    + z[m + i] * z[m + j]
-                    - z[2 * m + i] * z[2 * m + j]
-                    - z[3 * m + i] * z[3 * m + j]
-                )
-        dcur = np.sqrt(np.sum(D * D))
-        sw = np.sqrt(wpen)
-        rho[n] = 0.0
-        for j in range(dim):
-            J[n, j] = 0.0
-        if dcur < delta:
-            rho[n] = sw * (delta - dcur)
-            dd = dcur if dcur > 1e-12 else 1e-12
-            for j in range(m):
-                du = 0.0
-                dv = 0.0
-                ds = 0.0
-                dt = 0.0
-                for i in range(m):
-                    du += D[j, i] * z[i]
-                    dv += D[j, i] * z[m + i]
-                    ds += D[j, i] * z[2 * m + i]
-                    dt += D[j, i] * z[3 * m + i]
-                J[n, j] = -sw * 2.0 * du / dd
-                J[n, m + j] = -sw * 2.0 * dv / dd
-                J[n, 2 * m + j] = sw * 2.0 * ds / dd
-                J[n, 3 * m + j] = sw * 2.0 * dt / dd
-        A = J.T @ J
-        g = J.T @ rho
-        for i in range(dim):
-            A[i, i] += lam
-        p = _chol_solve(A, -g)
-        zn = z + p
-        nz = np.sqrt(np.sum(zn * zn))
-        zn *= np.sqrt(2.0) / nz
-        fn, fmeasn, dn = _pair_objective(phi, zn, delta, wpen)
-        if fn < f:
-            z = zn
-            f = fn
-            fmeas = fmeasn
-            d = dn
-            lam = max(lam / 3.0, 1e-12)
-            if f < 1e-16 or np.sqrt(np.sum(p * p)) < 1e-13:
-                break
-        else:
-            lam *= 4.0
-            if lam > 1e10:
-                break
-    return z, f, fmeas, d, iters
-
-
-def _lm_search_all(phi, starts, delta, wpen, max_iter):
-    R = starts.shape[0]
-    zs = np.empty((R, starts.shape[1]))
-    fs = np.empty(R)
-    fmeass = np.empty(R)
-    ds = np.empty(R)
-    iters = np.empty(R, np.int64)
-    for r in _PRANGE(R):
-        z, f, fmeas, d, it = _lm_one(phi, starts[r], delta, wpen, max_iter)
-        zs[r] = z
-        fs[r] = f
-        fmeass[r] = fmeas
-        ds[r] = d
-        iters[r] = it
-    return zs, fs, fmeass, ds, iters
-
-
-# ---------------------------------------------------------------------------
-# batched numpy fallback for the pair search
-# ---------------------------------------------------------------------------
-
-
-def _lm_search_batched(phi, starts, delta, wpen, max_iter):
-    """Same algorithm as :func:`_lm_search_all`, vectorized over restarts."""
+    Returns (zs, f, fmeas, d, iters) arrays over restarts.
+    """
+    phi = np.ascontiguousarray(phi, dtype=np.float64)
+    starts = np.ascontiguousarray(starts, dtype=np.float64)
     m, n = phi.shape
     R, dim = starts.shape
     sw = np.sqrt(wpen)
-    eye = np.eye(dim)
+    diag = np.arange(dim)
+    upper, lower = np.triu_indices(dim, 1)
+    signs = np.array([2.0, 2.0, -2.0, -2.0])[:, None]
 
     def objective(z):
         parts = z.reshape(R, 4, m)
@@ -270,43 +56,57 @@ def _lm_search_batched(phi, starts, delta, wpen, max_iter):
 
     z = starts * (np.sqrt(2.0) / np.linalg.norm(starts, axis=1))[:, None]
     lam = np.full(R, 1e-3)
-    f, fmeas, d, _, _, _ = objective(z)
+    # r, D and proj are kept for the current z, so each iteration evaluates
+    # the objective once, at the trial point.
+    f, fmeas, d, r, D, proj = objective(z)
     active = np.ones(R, dtype=bool)
     iters = np.zeros(R, dtype=np.int64)
+    # Jacobian and normal matrix with the restart axis last, so every
+    # elementwise step and reduction runs over contiguous restarts.
+    J = np.empty((n + 1, dim, R))
+    A = np.empty((dim, dim, R))
     for _ in range(max_iter):
         if not active.any():
             break
         iters[active] += 1
-        _, _, _, r, D, proj = objective(z)
-        J = np.zeros((R, n + 1, dim))
-        signs = (2.0, 2.0, -2.0, -2.0)
-        for part in range(4):
-            # d r_k / d z_part = +-2 (phi_k . part) phi_k
-            J[:, :n, part * m : (part + 1) * m] = (
-                signs[part] * proj[:, part, :, None] * phi.T[None, :, :]
-            )
-        dcur = np.sqrt(np.einsum("rij,rij->r", D, D))
-        mask = dcur < delta
-        rho_bar = np.where(mask, sw * (delta - dcur), 0.0)
-        dd = np.maximum(dcur, 1e-12)
+        # d r_k / d z_part = +-2 (phi_k . part) phi_k
+        signed = signs * proj.transpose(2, 1, 0)  # (n, 4, R)
+        np.multiply(
+            signed[:, :, None, :], phi.T[:, None, :, None],
+            out=J[:n].reshape(n, 4, m, R),
+        )
+        mask = d < delta
+        rho_bar = np.where(mask, sw * (delta - d), 0.0)
+        dd = np.maximum(d, 1e-12)
         parts = z.reshape(R, 4, m)
         for part, sign in enumerate((-1.0, -1.0, 1.0, 1.0)):
             Dpart = np.einsum("rij,rj->ri", D, parts[:, part])
-            J[:, n, part * m : (part + 1) * m] = np.where(
+            J[n, part * m : (part + 1) * m] = np.where(
                 mask[:, None], sign * sw * 2.0 * Dpart / dd[:, None], 0.0
+            ).T
+        rho = np.concatenate([r, rho_bar[:, None]], axis=1).T  # (n + 1, R)
+        # J^T J by blocks on and above the diagonal, then mirrored
+        for part in range(4):
+            block = slice(part * m, (part + 1) * m)
+            np.einsum(
+                "kir,kjr->ijr", J[:, block], J[:, part * m :],
+                out=A[block, part * m :],
             )
-        rho = np.concatenate([r, rho_bar[:, None]], axis=1)
-        A = np.einsum("rki,rkj->rij", J, J) + lam[:, None, None] * eye
-        g = np.einsum("rki,rk->ri", J, rho)
-        p = np.linalg.solve(A, -g[..., None])[..., 0]
+        A[lower, upper] = A[upper, lower]
+        A[diag, diag] += lam
+        g = np.einsum("kir,kr->ri", J, rho)
+        p = np.linalg.solve(A.transpose(2, 0, 1), -g[..., None])[..., 0]
         zn = z + p
         zn *= (np.sqrt(2.0) / np.linalg.norm(zn, axis=1))[:, None]
-        fn, fmeasn, dn, _, _, _ = objective(zn)
+        fn, fmeasn, dn, rn, Dn, projn = objective(zn)
         accept = active & (fn < f)
         z[accept] = zn[accept]
         f[accept] = fn[accept]
         fmeas[accept] = fmeasn[accept]
         d[accept] = dn[accept]
+        r[accept] = rn[accept]
+        D[accept] = Dn[accept]
+        proj[accept] = projn[accept]
         lam[accept] = np.maximum(lam[accept] / 3.0, 1e-12)
         reject = active & ~accept
         lam[reject] *= 4.0
@@ -317,122 +117,39 @@ def _lm_search_batched(phi, starts, delta, wpen, max_iter):
     return z, f, fmeas, d, iters
 
 
-# ---------------------------------------------------------------------------
-# alternating projection: affine measurement set vs PSD rank-<=2 cone
-# ---------------------------------------------------------------------------
-
-
-def _devec_k(v, m):
-    Q = np.empty((m, m))
-    for i in range(m):
-        Q[i, i] = v[i]
-    idx = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            Q[i, j] = v[idx]
-            Q[j, i] = v[idx]
-            idx += 1
-    return Q
-
-
-def _vec_k(Q):
-    m = Q.shape[0]
-    v = np.empty(m * (m + 1) // 2)
-    for i in range(m):
-        v[i] = Q[i, i]
-    idx = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            v[idx] = Q[i, j]
-            idx += 1
-    return v
-
-
-def _rank2_psd_k(Q):
-    # Nearest PSD matrix of rank <= 2: clamp negatives, keep top 2 eigenpairs.
-    m = Q.shape[0]
+def rank2_psd_project(Q) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix of rank at most 2; exactly symmetric."""
     w, V = np.linalg.eigh(Q)
-    Q2 = np.zeros((m, m))
-    top = 2 if m >= 2 else 1
-    for back in range(top):
-        k = m - 1 - back
-        lam = w[k]
-        if lam > 0.0:
-            for i in range(m):
-                for j in range(m):
-                    Q2[i, j] += lam * V[i, k] * V[j, k]
-    return Q2
-
-
-def _altproj_core(omega, pinv, b, v0s, max_iter, tol):
-    # First-success over restarts; ties on the best residual break toward the
-    # lower restart index, so the outcome matches sequential execution.
-    R = v0s.shape[0]
-    L = omega.shape[1]
-    m = int((np.sqrt(8.0 * L + 1.0) - 1.0) / 2.0 + 0.5)
-    bnorm = np.sqrt(np.sum(b * b))
-    floor = bnorm if bnorm > 0.0 else 1.0
-    best_v = np.zeros(L)
-    best_res = np.inf
-    best_iters = 0
-    best_restart = -1
-    for r in range(R):
-        v = v0s[r].copy()
-        res = np.inf
-        for it in range(max_iter):
-            v = v - pinv @ (omega @ v - b)
-            Q2 = _rank2_psd_k(_devec_k(v, m))
-            v = _vec_k(Q2)
-            diff = omega @ v - b
-            res = np.sqrt(np.sum(diff * diff))
-            if res <= tol * floor:
-                return v, res, it + 1, r, True
-        if res < best_res:
-            best_res = res
-            best_v = v
-            best_iters = max_iter
-            best_restart = r
-    return best_v, best_res, best_iters, best_restart, False
-
-
-# ---------------------------------------------------------------------------
-# compilation / dispatch
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-    _PRANGE = _numba.prange
-    _chol_solve = _numba.njit(cache=True)(_chol_solve)
-    _pair_objective = _numba.njit(cache=True)(_pair_objective)
-    _lm_one = _numba.njit(cache=True)(_lm_one)
-    _lm_search_all = _numba.njit(cache=True, parallel=True)(_lm_search_all)
-    _devec_k = _numba.njit(cache=True)(_devec_k)
-    _vec_k = _numba.njit(cache=True)(_vec_k)
-    _rank2_psd_k = _numba.njit(cache=True)(_rank2_psd_k)
-    _altproj_core = _numba.njit(cache=True)(_altproj_core)
-else:
-    _PRANGE = range
-
-
-def pair_search(phi, starts, delta, wpen, max_iter):
-    """Run the multistart pair search on the active backend.
-
-    Returns (zs, f, fmeas, d, iters) arrays over restarts.
-    """
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    if USING_NUMBA:
-        configure_threads()
-        return _lm_search_all(phi, starts, delta, wpen, max_iter)
-    return _lm_search_batched(phi, starts, delta, wpen, max_iter)
+    factor = V[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0))
+    return factor @ factor.T
 
 
 def altproj(omega, pinv, b, v0s, max_iter, tol):
-    """Alternating projection driver; same code on both backends.
+    """Alternating projection from each start in turn.
+
+    Each iteration steps onto the affine set {v : omega v = b} through
+    ``pinv`` and then onto the PSD rank-<=2 cone.  The first restart whose
+    residual |omega v - b| reaches tol*|b| wins; otherwise the restart with
+    the lowest final residual (the lowest index on ties) is returned with
+    ``max_iter`` iterations.
 
     Returns (v, residual, iterations, restart_index, converged).
     """
-    omega = np.ascontiguousarray(omega, dtype=np.float64)
-    pinv = np.ascontiguousarray(pinv, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    v0s = np.ascontiguousarray(v0s, dtype=np.float64)
-    return _altproj_core(omega, pinv, b, v0s, max_iter, tol)
+    omega = np.asarray(omega, dtype=np.float64)
+    pinv = np.asarray(pinv, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m = _dim_from_lift(omega.shape[1])
+    index = _half_indices(m)
+    floor = np.linalg.norm(b) or 1.0
+    best = (np.zeros(omega.shape[1]), np.inf, 0, -1)
+    for r, v in enumerate(np.asarray(v0s, dtype=np.float64)):
+        res = np.inf
+        for it in range(max_iter):
+            v = v - pinv @ (omega @ v - b)
+            v = rank2_psd_project(_symmetric(v, m, index))[index]
+            res = np.linalg.norm(omega @ v - b)
+            if res <= tol * floor:
+                return v, res, it + 1, r, True
+        if res < best[1]:
+            best = (v, res, max_iter, r)
+    return (*best, False)

@@ -5,9 +5,6 @@ Every subcommand accepts --json and then emits exactly one JSON document on
 stdout.  Exit codes: 0 = analysis completed (whatever the verdict),
 2 = usage/parse/validation error, 3 = numerical failure.  Verdicts never
 map to nonzero exit codes, so automation should parse --json.
-
-Environment: CPR_BACKEND selects numba or numpy kernels; CPR_THREADS caps
-internal parallelism (0/absent = default).
 """
 
 from __future__ import annotations
@@ -187,8 +184,10 @@ def _cmd_falsify(args) -> int:
     if isinstance(frame, ComplexFrame):
         raise ValidationError("falsify handles real frames only")
     pair = None
-    no_witness_line = f"no witness found in {args.budget} restarts"
-    if frame.m in (2, 3):
+    exact = frame.m in (2, 3)  # decided from the kernel, without restarts
+    restarts = 0 if exact else args.budget
+    no_witness_line = f"no witness found in {restarts} restarts"
+    if exact:
         if kernel_basis(omega_matrix(frame)):
             pair = falsify_exact(frame)
         else:
@@ -198,7 +197,7 @@ def _cmd_falsify(args) -> int:
     if pair is None:
         _emit(
             args,
-            {"found": False, "witness": None, "restarts": args.budget},
+            {"found": False, "witness": None, "restarts": restarts},
             [no_witness_line],
         )
         return 0
@@ -212,7 +211,7 @@ def _cmd_falsify(args) -> int:
                 "target": [[float(v) for v in row] for row in pair.target],
                 "residual": pair.residual,
             },
-            "restarts": args.budget,
+            "restarts": restarts,
         },
         [
             "witness pair found:",

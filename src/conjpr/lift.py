@@ -39,6 +39,21 @@ def _dim_from_lift(length: int) -> int:
     return m
 
 
+def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the diagonal-first layout: Q[index] is v(Q)."""
+    iu, ju = np.triu_indices(m, k=1)
+    diag = np.arange(m)
+    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
+
+
+def _symmetric(v: np.ndarray, m: int, index) -> np.ndarray:
+    """The symmetric m x m matrix Q with Q[index] = v, for index = _half_indices(m)."""
+    Q = np.empty((m, m))
+    Q[index] = v
+    Q[index[::-1]] = v
+    return Q
+
+
 def _frame_matrix(frame) -> np.ndarray:
     return frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
 
@@ -63,12 +78,7 @@ def vectorize(Q) -> np.ndarray:
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
-    m = Q.shape[0]
-    out = np.empty(lift_dim(m))
-    out[:m] = np.diagonal(Q)
-    iu, ju = np.triu_indices(m, k=1)
-    out[m:] = Q[iu, ju]
-    return out
+    return Q[_half_indices(Q.shape[0])]
 
 
 def devectorize(v) -> np.ndarray:
@@ -77,12 +87,7 @@ def devectorize(v) -> np.ndarray:
     if v.ndim != 1:
         raise ValidationError("lift vector must be 1-D")
     m = _dim_from_lift(v.shape[0])
-    Q = np.zeros((m, m))
-    np.fill_diagonal(Q, v[:m])
-    iu, ju = np.triu_indices(m, k=1)
-    Q[iu, ju] = v[m:]
-    Q[ju, iu] = v[m:]
-    return Q
+    return _symmetric(v, m, _half_indices(m))
 
 
 def omega_matrix(frame) -> np.ndarray:

@@ -21,6 +21,7 @@ from .errors import NotPSDError, UnderdeterminedError, ValidationError
 from .frames_io import Measurement
 from .lift import devectorize, measure, omega_matrix, vectorize
 from . import _kernels
+from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -106,20 +107,8 @@ def factor_rank2(Q, tol: float = PSD_TOL) -> np.ndarray:
     return xhat
 
 
-def rank2_psd_project(Q) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix of rank at most 2."""
-    Q = np.asarray(Q, dtype=np.float64)
-    w, V = np.linalg.eigh(Q)
-    out = np.zeros_like(Q)
-    for k in (-1, -2) if Q.shape[0] >= 2 else (-1,):
-        if w[k] > 0.0:
-            out += w[k] * np.outer(V[:, k], V[:, k])
-    return out
-
-
-def _result(frame, estimate: np.ndarray, b: np.ndarray, rank_excess: float,
+def _result(om: np.ndarray, estimate: np.ndarray, b: np.ndarray, rank_excess: float,
             iterations: int, converged: bool) -> ReconstructionResult:
-    om = omega_matrix(frame)
     fit = om @ vectorize(real_lift(estimate)) - b
     lift_residual = float(np.linalg.norm(fit) / max(np.linalg.norm(b), _EPS))
     return ReconstructionResult(
@@ -157,7 +146,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
     Q = devectorize(v)
     xhat, discarded_abs, total_abs, _ = _truncate_psd2(Q, tol)
     rank_excess = discarded_abs / max(total_abs, _EPS)
-    return _result(frame, xhat, bvals, rank_excess, 0, True)
+    return _result(om, xhat, bvals, rank_excess, 0, True)
 
 
 def reconstruct_altproj(
@@ -186,7 +175,7 @@ def reconstruct_altproj(
         raise ValidationError(f"frame has {n} vectors but got {bvals.shape[0]} measurements")
     m = (frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)).shape[0]
     if np.linalg.norm(bvals) == 0.0:
-        return _result(frame, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
+        return _result(om, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
     pinv = np.linalg.pinv(om)
     children = np.random.SeedSequence(entropy=seed).spawn(restarts)
     v0s = np.empty((restarts, L))
@@ -200,7 +189,7 @@ def reconstruct_altproj(
     w_aff = np.linalg.eigh(devectorize(v_aff))[0]
     tail = np.sum(np.abs(w_aff[:-2])) if m >= 2 else 0.0
     rank_excess = float(tail / max(np.sum(np.abs(w_aff)), _EPS))
-    return _result(frame, xhat, bvals, rank_excess, int(iters), bool(converged))
+    return _result(om, xhat, bvals, rank_excess, int(iters), bool(converged))
 
 
 def residual(frame, xhat, b) -> float:

@@ -8,7 +8,6 @@ import functools
 import time
 
 import numpy as np
-import pytest
 
 from conftest import grid_min_distance, random_signal
 
@@ -36,14 +35,6 @@ from conjpr import (
 from conjpr.errors import NotPSDError
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation is environment setup; keep it out of the timed sections.
-    f = random_frame(4, 10, seed=0)
-    falsify_search(f, budget=2, seed=0)
-    reconstruct_altproj(f, measure(f, np.ones(4, dtype=complex)), restarts=1, max_iter=3)
 
 
 def criterion(num, desc):

@@ -4,6 +4,7 @@ import pytest
 from conftest import measurement_gap, random_signal
 
 import conjpr
+from conjpr import _kernels
 from conjpr import (
     ComplexFrame,
     RealFrame,
@@ -258,6 +259,33 @@ class TestFalsifySearch:
     def test_budget_validation(self):
         with pytest.raises(ValidationError):
             falsify_search(FRAME_2X3, budget=0)
+
+
+class TestPairSearchKernel:
+    """Per-restart contract of ``_kernels.pair_search`` (delta 0.1, penalty 1e3)."""
+
+    @staticmethod
+    def run(starts, max_iter=100):
+        phi = random_frame(3, 5, seed=11).matrix
+        return _kernels.pair_search(phi, starts, 0.1, 1e3, max_iter)
+
+    def test_restart_independent_of_batch(self):
+        starts = rng_stream(503, 0).standard_normal((40, 12))
+        full = self.run(starts)
+        part = self.run(starts[7:19])
+        for a, b in zip(full, part):
+            assert np.array_equal(a[7:19], b)
+
+    def test_stopped_restarts_stay_frozen(self):
+        starts = rng_stream(503, 1).standard_normal((40, 12))
+        short = self.run(starts, max_iter=100)
+        longer = self.run(starts, max_iter=150)
+        iters = short[4]
+        stopped = iters < 100
+        assert stopped.any() and not stopped.all()
+        assert iters.min() >= 1 and longer[4].max() <= 150
+        for a, b in zip(short, longer):
+            assert np.array_equal(a[stopped], b[stopped])
 
 
 class TestImGram:

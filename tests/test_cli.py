@@ -186,6 +186,7 @@ class TestFalsify:
         doc = json.loads(stdout)
         assert doc["found"] is True
         assert doc["witness"]["residual"] <= 1e-10
+        assert doc["restarts"] == 0
 
     def test_search_budget_reported(self, tmp_path, capsys):
         path = tmp_path / "f.json"

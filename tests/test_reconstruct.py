@@ -23,6 +23,7 @@ from conjpr import (
     rng_stream,
     vectorize,
 )
+from conjpr import _kernels
 from conjpr.errors import NotPSDError, UnderdeterminedError, ValidationError
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -193,6 +194,37 @@ class TestReconstructAltproj:
         result = reconstruct_altproj(f, bogus, restarts=5, max_iter=50)
         assert not result.converged
         assert result.lift_residual > 1e-6
+
+    def test_kernel_restart_contract(self):
+        # the first converging restart wins; failing that, the restart with
+        # the lowest residual comes back with iterations == max_iter
+        def each_alone(om, pinv, b, v0s, max_iter):
+            return [_kernels.altproj(om, pinv, b, v0s[r : r + 1], max_iter, 1e-10)
+                    for r in range(v0s.shape[0])]
+
+        f = random_frame(4, 10, seed=25)
+        om = omega_matrix(f)
+        pinv = np.linalg.pinv(om)
+        b = measure(f, random_signal(rng_stream(607, 0), 4)).values
+        v0s = rng_stream(615, 0).standard_normal((6, lift_dim(4)))
+        v, res, iters, restart, converged = _kernels.altproj(om, pinv, b, v0s, 500, 1e-10)
+        assert converged
+        assert res <= 1e-10 * np.linalg.norm(b)
+        alone = each_alone(om, pinv, b, v0s, 500)
+        assert restart == [run[4] for run in alone].index(True)
+        assert iters == alone[restart][2]
+
+        f = random_frame(5, 14, seed=29)
+        om = omega_matrix(f)
+        pinv = np.linalg.pinv(om)
+        bogus = rng_stream(610, 0).uniform(1.0, 2.0, size=14)
+        v0s = rng_stream(616, 0).standard_normal((5, lift_dim(5)))
+        v, res, iters, restart, converged = _kernels.altproj(om, pinv, bogus, v0s, 1, 1e-10)
+        assert not converged
+        assert iters == 1
+        residuals = [run[1] for run in each_alone(om, pinv, bogus, v0s, 1)]
+        assert restart == int(np.argmin(residuals))
+        assert res == min(residuals)
 
     def test_monotone_affine_distance(self):
         from conjpr.lift import devectorize
