@@ -1,25 +1,36 @@
 """Retrievability certificates, falsification, and strictness analysis.
 
-Decision structure for a real frame on C^M:
+Everything is decided in the real lift: a pair (x, y) has equal
+measurements exactly when Re(xx*) - Re(yy*) lies in the kernel of the
+lifted operator Omega.  Such a difference has at most two eigenvalues of
+each sign, and every symmetric matrix with both signs and at most two of
+each is realized by a pair (see ``witness``).  So a frame is retrievable
+exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 
-* too few vectors (N <= 2M-2): never retrievable; a complement-property
-  violating split is attached, and for M <= 3 an explicit pair as well;
-* M = 2: the complement property decides exactly;
-* M = 3: injectivity of the lifted operator decides exactly, and any
-  kernel element yields an explicit counterexample pair;
-* M >= 4: an injective lifted operator certifies retrievability; a
-  nontrivial kernel leaves the question open (a kernel element is only a
-  counterexample if it is realizable as Re(xx* - yy*), which is not
-  decidable here), so the verdict is Undecided, optionally refined by a
-  randomized search for an explicit pair.
+One ladder, built on Omega and its SVD computed once per call, serves
+``certify``, ``falsify_exact`` and ``falsify_search``:
 
-Undecided is an honest verdict: search failure is never converted into a
-certificate.
+* kernel dimension 0: retrievable at every M (Det2/Det3 name the square
+  M = 2, 3 cases, KernelInjective the rest);
+* M <= 3 with a kernel: not retrievable; a spanning frame forces every
+  kernel matrix to be indefinite, hence realizable, and the pair is built
+  in closed form (KernelWitness);
+* M >= 4 with a one-dimensional kernel: the inertia of its matrix decides.
+  Three eigenvalues of one sign clear of round-off certify retrievability
+  (KernelInertia); at most two of each sign give an exact pair by the
+  spectral split (KernelWitness);
+* otherwise (M >= 4 with kernel dimension >= 2, or a kernel eigenvalue too
+  close to zero to sign) the question stays open: Undecided, optionally
+  refined by a randomized search for an explicit pair (SearchWitness).
+
+Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
+split is attached.  Undecided is an honest verdict: search failure is never
+converted into a certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +44,7 @@ from .errors import (
 )
 from .frames_io import ComplexFrame, RealFrame, rng_stream
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
-from .witness import WitnessPair, witness_general
+from .witness import ZERO_EIG_TOL, WitnessPair, witness_general
 from . import _kernels
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -43,7 +54,8 @@ CERT_METHODS = (
     "Det2",
     "Det3",
     "KernelInjective",
-    "ComplementPropertyM2",
+    "KernelInertia",
+    "ComplementPropertyM2",  # no longer produced; older certificate files load
     "TooFewVectors",
     "KernelWitness",
     "SearchWitness",
@@ -53,6 +65,12 @@ STRICT_VERDICTS = ("StrictlyCPR", "ComplexPRCandidate", "NotCPR", "Undecided")
 
 #: Singular values below this fraction of sigma_max count as zero.
 KERNEL_TOL = 1e-10
+
+#: A kernel-matrix eigenvalue certifies as a third one of its sign only
+#: beyond this fraction of the matrix's Frobenius norm.  Eigenvalues between
+#: ZERO_EIG_TOL and this are too close to zero to sign, and leave the
+#: question open.
+INERTIA_MARGIN = 1e-6
 
 #: Minimum lift-space separation a searched pair must exhibit.
 SEARCH_DISTANCE = 0.1
@@ -138,6 +156,38 @@ def complement_property(frame, field: str = "auto", cap: int = 24):
     return True, None
 
 
+def _m2_violating_subset(mat: np.ndarray) -> tuple | None:
+    """The split ``complement_property`` returns first, for an M = 2 frame that fails it.
+
+    Such a frame has its nonzero columns on at most two lines.  The walk
+    stops at the subset containing 0 with the smallest bit pattern: {0} when
+    one line carries every nonzero column, else the line of column 0 when
+    that column is nonzero, else 0 with the line whose largest index is
+    smaller.  O(N); None when ``numeric_rank`` does not confirm the split.
+    """
+    n = mat.shape[1]
+    norms = np.linalg.norm(mat, axis=0)
+    lines, left = [], np.flatnonzero(norms > 0.0)
+    while left.size and len(lines) < 3:
+        k = left[0]
+        cross = mat[0, k] * mat[1, left] - mat[1, k] * mat[0, left]
+        on = np.abs(cross) <= 64 * n * _EPS * norms[k] * norms[left]
+        lines.append(list(left[on]))
+        left = left[~on]
+    if len(lines) == 1:
+        subset = [0]
+    elif len(lines) > 2:
+        return None  # a third line: the complement property holds
+    elif lines[0][0] == 0:
+        subset = lines[0]
+    else:
+        subset = [0] + min(lines, key=max)
+    complement = [k for k in range(n) if k not in subset]
+    if numeric_rank(mat[:, subset]) == 2 or numeric_rank(mat[:, complement]) == 2:
+        return None
+    return tuple(int(k) for k in subset)
+
+
 def _nullspace(mat: np.ndarray, tol: float, floor: float = 0.0) -> list[np.ndarray]:
     # Rows of Vh whose singular value is <= tol * max(sigma_max, floor);
     # the floor lets an all-round-off matrix count as entirely null.
@@ -161,22 +211,9 @@ def _det_certifies(om: np.ndarray, det: float) -> bool:
     return abs(det) > 1e-10 * bound
 
 
-def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
-    """Counterexample pair from a kernel element of the lifted operator.
-
-    Exact for M in {2, 3}: a spanning frame forces every kernel matrix to be
-    indefinite, which is always realizable as Re(xx* - yy*).  The kernel
-    vector is unit, so the pair's class distance equals |Q_v|_F >= 1.
-    """
-    frame = _require_real_frame(frame, "falsify_exact")
-    if frame.m not in (2, 3):
-        raise WrongDimensionError("exact falsification applies to M in {2, 3}")
-    basis = kernel_basis(omega_matrix(frame))
-    if not basis:
-        raise NoKernelError("lifted operator is injective; no kernel to realize")
-    q_v = devectorize(basis[0])
+def _kernel_pair(H: np.ndarray, tol: float) -> WitnessPair:
     try:
-        pair = witness_general(q_v)
+        pair = witness_general(H)
     except DefiniteInputError as exc:
         raise IndefinitenessViolationError(
             "kernel matrix is one-signed; the input cannot be a spanning frame"
@@ -186,6 +223,67 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
             f"witness synthesis residual {pair.residual:.2e} exceeds tol"
         )
     return pair
+
+
+def _decide(frame: RealFrame, tol: float = 1e-9) -> Certificate:
+    """The exact steps of the ladder: Undecided/MonteCarlo when they do not decide.
+
+    Builds Omega and its SVD once.  ``tol`` bounds the residual of a kernel
+    witness.
+    """
+    m, n = frame.m, frame.n
+    om = omega_matrix(frame)
+    det_val = float(np.linalg.det(om)) if n == lift_dim(m) else None
+    basis = kernel_basis(om)
+    kdim = len(basis)
+
+    def decided(*args, **kwargs):
+        return Certificate(*args, det_value=det_val, kernel_dim=kdim, **kwargs)
+
+    if kdim == 0:
+        square = m in (2, 3) and det_val is not None and _det_certifies(om, det_val)
+        return decided("CertifiedCPR", f"Det{m}" if square else "KernelInjective")
+    H = devectorize(basis[0])
+    if m <= 3:
+        return decided("NotCPR", "KernelWitness", witness=_kernel_pair(H, tol))
+    if kdim == 1:
+        w = np.linalg.eigvalsh(H)
+        scale = np.linalg.norm(H)
+        sure = max(np.sum(w > INERTIA_MARGIN * scale), np.sum(w < -INERTIA_MARGIN * scale))
+        if sure >= 3:
+            return decided("CertifiedCPR", "KernelInertia")
+        signed = max(np.sum(w > ZERO_EIG_TOL * scale), np.sum(w < -ZERO_EIG_TOL * scale))
+        if signed <= 2:
+            return decided("NotCPR", "KernelWitness", witness=_kernel_pair(H, tol))
+    return decided("Undecided", "MonteCarlo")
+
+
+def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
+    """Counterexample pair realizing a kernel matrix of the lifted operator.
+
+    Exact wherever the kernel alone decides: at M in {2, 3} a spanning frame
+    forces every kernel matrix to be indefinite, hence realizable, and at any
+    M a one-dimensional kernel is realizable when its matrix has at most two
+    eigenvalues of each sign.  The kernel vector is unit, so the pair's class
+    distance equals |Q_v|_F >= 1.  Raises NoKernelError when the kernel
+    proves no pair exists and WrongDimensionError when it leaves the
+    question open (M >= 4 with kernel dimension >= 2).
+    """
+    frame = _require_real_frame(frame, "falsify_exact")
+    cert = _decide(frame, tol)
+    if cert.witness is not None:
+        return cert.witness
+    if cert.method == "KernelInertia":
+        raise NoKernelError(
+            "the lift kernel is spanned by a matrix with three eigenvalues of one "
+            "sign; no pair realizes it"
+        )
+    if cert.verdict == "CertifiedCPR":
+        raise NoKernelError("lifted operator is injective; no kernel to realize")
+    raise WrongDimensionError(
+        "exact falsification needs M in {2, 3} or a one-dimensional kernel; "
+        f"this frame has M={frame.m} and kernel dimension {cert.kernel_dim}"
+    )
 
 
 def _search_starts(m: int, budget: int, seed: int) -> np.ndarray:
@@ -232,120 +330,54 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
     scaling is quotiented out).  Returns a pair only when the gap objective
     falls below 1e-12 with the distance bound met; absence of a pair is
     never a certificate.  Deterministic in (budget, seed): restart i draws
-    its start from the (seed, i) stream.
+    its start from the (seed, i) stream.  Returns None without running a
+    restart when the lift kernel proves that no pair exists.
     """
     frame = _require_real_frame(frame, "falsify_search")
+    if budget < 1:
+        raise ValidationError("budget must be at least 1")
+    if _decide(frame).verdict == "CertifiedCPR":
+        return None
     pair, _ = _search_with_stats(frame, budget, seed)
     return pair
 
 
-def certify(frame, *, budget: int = 0, seed: int = 0, cp_cap: int = 24) -> Certificate:
+def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     """Decide conjugate retrievability of a real frame.
 
-    ``budget`` > 0 lets the M >= 4 Undecided path run falsify_search; a
-    found pair upgrades the verdict to NotCPR (SearchWitness), an exhausted
-    budget reports Undecided with the trial statistics.
+    ``budget`` > 0 lets the open M >= 4 cases run falsify_search; a found
+    pair upgrades the verdict to NotCPR (SearchWitness), an exhausted budget
+    reports Undecided with the trial statistics.
     """
     frame = _require_real_frame(frame, "certify")
     m, n = frame.m, frame.n
-    om = omega_matrix(frame)
-    det_val = float(np.linalg.det(om)) if n == lift_dim(m) else None
-    basis = kernel_basis(om)
-    kdim = len(basis)
+    cert = _decide(frame)
 
     if m >= 2 and n <= 2 * m - 2:
         # Both halves of this split have < m vectors, so neither spans.
-        violating = tuple(range((n + 1) // 2))
-        pair = None
-        trials = None
-        if m <= 3:
-            pair = falsify_exact(frame)
-        elif budget > 0:
+        pair, trials = cert.witness, None
+        if m >= 4 and budget > 0:
             pair, trials = _search_with_stats(frame, budget, seed)
-        return Certificate(
-            "NotCPR",
-            "TooFewVectors",
-            det_value=det_val,
-            kernel_dim=kdim,
+        return replace(
+            cert,
+            verdict="NotCPR",
+            method="TooFewVectors",
             witness=pair,
             trials=trials,
-            violating_subset=violating,
+            violating_subset=tuple(range((n + 1) // 2)),
         )
-
-    if m == 1:
-        # On C^1 conjugate classes are plain magnitudes; any frame works.
-        return Certificate(
-            "CertifiedCPR", "KernelInjective", det_value=det_val, kernel_dim=kdim
+    if m == 2 and cert.verdict == "NotCPR":
+        return replace(cert, violating_subset=_m2_violating_subset(frame.matrix))
+    if cert.verdict != "Undecided":
+        return cert
+    if budget <= 0:
+        return replace(cert, trials={"restarts": 0, "seed": int(seed)})
+    pair, trials = _search_with_stats(frame, budget, seed)
+    if pair is not None:
+        return replace(
+            cert, verdict="NotCPR", method="SearchWitness", witness=pair, trials=trials
         )
-
-    if m == 2:
-        cp_ran = n <= cp_cap
-        if cp_ran:
-            ok, violating = complement_property(frame, cap=cp_cap)
-        else:
-            # CP check refuses large N; the kernel test is equally exact here.
-            ok, violating = kdim == 0, None
-        if ok:
-            if det_val is not None and _det_certifies(om, det_val):
-                method = "Det2"
-            else:
-                method = "ComplementPropertyM2" if cp_ran else "KernelInjective"
-            return Certificate(
-                "CertifiedCPR", method, det_value=det_val, kernel_dim=kdim
-            )
-        return Certificate(
-            "NotCPR",
-            "KernelWitness",
-            det_value=det_val,
-            kernel_dim=kdim,
-            witness=falsify_exact(frame),
-            violating_subset=violating,
-        )
-
-    if m == 3:
-        if kdim == 0:
-            method = (
-                "Det3"
-                if det_val is not None and _det_certifies(om, det_val)
-                else "KernelInjective"
-            )
-            return Certificate(
-                "CertifiedCPR", method, det_value=det_val, kernel_dim=kdim
-            )
-        return Certificate(
-            "NotCPR",
-            "KernelWitness",
-            det_value=det_val,
-            kernel_dim=kdim,
-            witness=falsify_exact(frame),
-        )
-
-    # m >= 4
-    if kdim == 0:
-        return Certificate(
-            "CertifiedCPR", "KernelInjective", det_value=det_val, kernel_dim=kdim
-        )
-    if budget > 0:
-        pair, trials = _search_with_stats(frame, budget, seed)
-        if pair is not None:
-            return Certificate(
-                "NotCPR",
-                "SearchWitness",
-                det_value=det_val,
-                kernel_dim=kdim,
-                witness=pair,
-                trials=trials,
-            )
-        return Certificate(
-            "Undecided", "MonteCarlo", det_value=det_val, kernel_dim=kdim, trials=trials
-        )
-    return Certificate(
-        "Undecided",
-        "MonteCarlo",
-        det_value=det_val,
-        kernel_dim=kdim,
-        trials={"restarts": 0, "seed": int(seed)},
-    )
+    return replace(cert, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +456,8 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
     non-phased-real y; such a matrix is skew of rank <= 2.  For M <= 3 every
     nonzero nullspace vector qualifies; for M >= 4 a realizable point is
     sought by alternating projection between the nullspace and the rank-2
-    skew cone (``budget`` restarts), with failure reported as Undecided.
+    skew cone (``budget`` restarts; one projection when the nullspace is a
+    line), with failure reported as Undecided.
     """
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
     m, n = mat.shape
@@ -466,9 +499,12 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
         return StrictReport("Undecided", None, nullity)
 
     # m >= 4: search null(G) for a rank-2 realizable point by alternating
-    # projection between the nullspace and the rank-2 skew cone
+    # projection between the nullspace and the rank-2 skew cone.  A null
+    # line is its own projection: every restart starts on it up to sign and
+    # never leaves it, so restart 0's first projection decides.
     basis = np.vstack(null_vecs)  # (k, pair_dim), orthonormal rows
-    for restart in range(budget):
+    restarts, max_iter = (1, 1) if nullity == 1 else (budget, 300)
+    for restart in range(restarts):
         rng = rng_stream(_STRICT_SEED, restart)
         s = basis.T @ rng.standard_normal(basis.shape[0])
         norm = np.linalg.norm(s)
@@ -476,7 +512,7 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
             continue
         s /= norm
         realizable = False
-        for _ in range(300):
+        for _ in range(max_iter):
             S = _skew_from_pairs(s, m)
             a, b, S2 = _factor_rank2_skew(S)
             if np.linalg.norm(S - S2) <= 1e-11 * np.linalg.norm(S):

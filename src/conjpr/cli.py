@@ -17,7 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import frames_io
-from .certify import certify, falsify_exact, falsify_search, kernel_basis, strict_report
+# falsify_exact, falsify_search, kernel_basis and omega_matrix are no longer
+# called here (`falsify` runs on certify's ladder) but stay conjpr.cli
+# attributes, which perfbench/tracing.py wraps.
+from .certify import certify, falsify_exact, falsify_search, kernel_basis, strict_report  # noqa: F401
 from .errors import (
     CprError,
     DefiniteInputError,
@@ -30,7 +33,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .frames_io import ComplexFrame
-from .lift import measure, omega_matrix
+from .lift import measure, omega_matrix  # noqa: F401
 from .reconstruct import reconstruct_altproj, reconstruct_linear
 from .witness import cone_frame, witness_general
 
@@ -183,17 +186,22 @@ def _cmd_falsify(args) -> int:
     frame = frames_io.load_frame(args.frame)
     if isinstance(frame, ComplexFrame):
         raise ValidationError("falsify handles real frames only")
-    pair = None
-    exact = frame.m in (2, 3)  # decided from the kernel, without restarts
-    restarts = 0 if exact else args.budget
-    no_witness_line = f"no witness found in {restarts} restarts"
-    if exact:
-        if kernel_basis(omega_matrix(frame)):
-            pair = falsify_exact(frame)
-        else:
-            no_witness_line = "no witness exists: the lifted operator is injective"
+    if args.budget < 1:
+        raise ValidationError("budget must be at least 1")
+    # the certify ladder: an exact answer from the lift kernel where it
+    # decides, the multistart search where it does not
+    cert = certify(frame, budget=args.budget, seed=args.seed)
+    pair = cert.witness
+    restarts = cert.trials["restarts"] if cert.trials else 0
+    if cert.method == "KernelInertia":
+        no_witness_line = (
+            "no witness exists: the lifted kernel is spanned by a matrix with "
+            "three eigenvalues of one sign"
+        )
+    elif cert.verdict == "CertifiedCPR":
+        no_witness_line = "no witness exists: the lifted operator is injective"
     else:
-        pair = falsify_search(frame, budget=args.budget, seed=args.seed)
+        no_witness_line = f"no witness found in {restarts} restarts"
     if pair is None:
         _emit(
             args,

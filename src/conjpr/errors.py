@@ -45,7 +45,11 @@ class NotPSDError(CprError):
 
 
 class NoKernelError(CprError):
-    """Exact falsification requested but the lifted operator is injective."""
+    """Exact falsification requested but the lift kernel holds no realizable matrix.
+
+    Either the lifted operator is injective, or its kernel is one line
+    spanned by a matrix with three eigenvalues of one sign.
+    """
 
     code = "NoKernel"
 
@@ -57,7 +61,11 @@ class IndefinitenessViolationError(CprError):
 
 
 class DefiniteInputError(CprError):
-    """Witness synthesis needs a target with eigenvalues of both signs."""
+    """Witness target has no realization by a pair.
+
+    It is one-signed, or it has three eigenvalues of one sign: not a
+    difference of two rank-<=2 PSD matrices.
+    """
 
     code = "DefiniteInput"
 

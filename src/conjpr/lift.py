@@ -95,11 +95,16 @@ def omega_matrix(frame) -> np.ndarray:
     mat = _frame_matrix(frame)
     if np.iscomplexobj(mat):
         raise ValidationError("the lifted operator is defined for real frames")
+    mat = np.asarray(mat, dtype=np.float64)
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("phi has non-finite entries")
     m, n = mat.shape
-    out = np.empty((n, lift_dim(m)))
-    for k in range(n):
-        out[k] = omega(mat[:, k])
-    return out
+    rows, cols = _half_indices(m)
+    # 1.0 * phi_i * phi_i on the diagonal entries, 2.0 * phi_i * phi_j off
+    # it: the products of omega, in the same order, so the same bits
+    coef = np.full(rows.shape[0], 2.0)
+    coef[:m] = 1.0
+    return np.multiply(coef * mat[rows].T, mat[cols].T, out=np.empty((n, rows.shape[0])))
 
 
 def apply_lift(frame, Q) -> np.ndarray:

@@ -1,10 +1,15 @@
 """Constructive counterexample pairs: signals x, y with Re(xx* - yy*) = H.
 
-A symmetric 3x3 (or 2x2) target H with eigenvalues of both signs is always
-realizable.  In the eigenbasis the problem reduces to a diagonal target
-diag(a, b, -c) with a, c > 0, b >= 0, solved in closed form: put a quarter
-turn between the first two coordinates of both vectors so the (1,2) and
-(1,3) real cross terms vanish, then match moduli through
+A lift Re(zz*) = aa^T + bb^T (z = a + ib) is positive semidefinite of rank
+at most 2, so a realizable target H has at most two positive and at most
+two negative eigenvalues; every such target with both signs present is
+realized here.
+
+In dimensions 2 and 3 the paper's closed forms are used.  In the eigenbasis
+the problem reduces to a diagonal target diag(a, b, -c) with a, c > 0,
+b >= 0, solved by putting a quarter turn between the first two coordinates
+of both vectors so the (1,2) and (1,3) real cross terms vanish, then
+matching moduli through
 
     |y1| / sqrt(a + |y1|^2) = |y2| / sqrt(b + |y2|^2) = |x3| / sqrt(c + |x3|^2),
 
@@ -13,6 +18,10 @@ The free modulus |y1| is fixed at 1, which keeps conditioning mild over
 several orders of magnitude of (a, b, c).  An orthogonal change of basis U
 then transports diagonal pairs to general targets via
 Re((Ux)(Ux)* - (Uy)(Uy)*) = U Re(xx* - yy*) U^T.
+
+In dimension 4 and above the spectral split is used: with eigenpairs
+(l_k, u_k) of H, x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the positive ones
+and y the same over the negative ones, so Re(xx*) - Re(yy*) = H.
 """
 
 from __future__ import annotations
@@ -22,13 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import real_lift
-from .errors import DefiniteInputError, ValidationError, WrongDimensionError
+from .errors import DefiniteInputError, ValidationError
 from .frames_io import RealFrame
 
 _EPS = float(np.finfo(np.float64).eps)
 
 #: Eigenvalues within this relative band of zero route to the degenerate case.
 ZERO_EIG_TOL = 1e-10
+
+_QUARTER_TURNS = np.array([1.0, 1.0j])
 
 
 @dataclass(frozen=True)
@@ -101,12 +112,13 @@ def witness_diag_m2(a: float, c: float) -> WitnessPair:
 
 
 def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
-    """Pair realizing an arbitrary indefinite symmetric 2x2 or 3x3 target.
+    """Pair realizing a symmetric target with eigenvalues of both signs.
 
     Eigenvalues within tol * |H|_F of zero count as zero.  Raises
-    DefiniteInputError when H has eigenvalues of only one sign (no pair can
-    realize it: diagonal entries of Re(zz*) are nonnegative), and
-    WrongDimensionError for m >= 4, where no general construction is known.
+    DefiniteInputError when H has eigenvalues of only one sign (refused: the
+    lift kernel of a spanning frame never holds such a matrix) or three or
+    more of one sign (no pair realizes it).  Targets of size 2 and 3 use the closed forms, larger
+    ones the spectral split.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -116,8 +128,6 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
     if not np.array_equal(H, H.T):
         raise ValidationError("target must be exactly symmetric")
     m = H.shape[0]
-    if m not in (2, 3):
-        raise WrongDimensionError(f"general witnesses exist only for m in {{2, 3}}, got m={m}")
     scale = np.linalg.norm(H)
     if scale == 0.0:
         raise DefiniteInputError("zero target has no non-equivalent realization")
@@ -130,6 +140,14 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
         raise DefiniteInputError(
             "target is positive or negative semidefinite up to tolerance"
         )
+    if npos > 2 or nneg > 2:
+        raise DefiniteInputError(
+            f"target has inertia ({npos}, {nneg}): not a difference of two "
+            "rank-<=2 PSD matrices"
+        )
+    if m > 3:
+        neg = slice(m - nneg, m)
+        return _pair(_split(w[:npos], U[:, :npos]), _split(-w[neg], U[:, neg]), H)
     if m == 2:
         base = witness_diag_m2(w[0], -w[1])
     elif npos == 2:
@@ -141,6 +159,11 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
     else:
         base = witness_diag_m3_degenerate(w[0], -w[2])
     return _pair(U @ base.x, U @ base.y, H)
+
+
+def _split(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """z = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over one or two eigenpairs, so Re(zz*) = sum l_k u_k u_k^T."""
+    return vecs @ (np.sqrt(lam) * _QUARTER_TURNS[: lam.shape[0]])
 
 
 def cone_frame(n: int, angles=None) -> RealFrame:

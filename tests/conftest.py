@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from conjpr import RealFrame, rng_stream
+
 
 def random_signal(rng, m, scale=1.0):
     return scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
@@ -63,3 +65,14 @@ def make_indefinite_target(rng, pattern, middle=None):
     if middle is not None:
         lam[1] = middle
     return symmetrized(u @ np.diag(lam) @ u.T)
+
+
+def quadric_cone_frame_4d(n, seed):
+    """Vectors (u, 1) with u a unit 3-vector: they annihilate diag(1,1,1,-1).
+
+    With n = 9 the lift kernel is that one matrix, of inertia (3, 1).
+    """
+    rng = rng_stream(seed, 0)
+    u = rng.standard_normal((3, n))
+    u /= np.linalg.norm(u, axis=0)
+    return RealFrame(np.vstack([u, np.ones(n)]))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import measurement_gap, random_signal
+from conftest import (
+    measurement_gap,
+    quadric_cone_frame_4d,
+    random_orthogonal,
+    random_signal,
+    symmetrized,
+)
 
 import conjpr
 from conjpr import _kernels
@@ -31,12 +37,25 @@ from conjpr.errors import (
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
 
-def quadric_cone_frame_4d(n, seed):
-    """Vectors (u, 1) with u a unit 3-vector: they annihilate diag(1,1,1,-1)."""
+def frame_on_cone(h, n, seed):
+    """n unit vectors phi with phi^T h phi = 0: the lift kernel contains h."""
     rng = rng_stream(seed, 0)
-    u = rng.standard_normal((3, n))
-    u /= np.linalg.norm(u, axis=0)
-    return RealFrame(np.vstack([u, np.ones(n)]))
+    m = h.shape[0]
+    cols = []
+    while len(cols) < n:
+        p, d = rng.standard_normal((2, m))
+        a, b, c = d @ h @ d, p @ h @ d, p @ h @ p
+        disc = b * b - a * c
+        if abs(a) < 1e-3 or disc < 0.0:
+            continue
+        phi = p + (-b + np.sqrt(disc)) / a * d
+        cols.append(phi / np.linalg.norm(phi))
+    return RealFrame(np.stack(cols, axis=1))
+
+
+def rotated_diag(eigs, seed):
+    u = random_orthogonal(rng_stream(seed, 1), len(eigs))
+    return symmetrized(u @ np.diag(eigs) @ u.T)
 
 
 def verify_witness(frame, pair, gap_tol=1e-9, dist_floor=0.05):
@@ -164,21 +183,94 @@ class TestCertify:
 
     def test_m4_undecided_with_stats(self):
         # vectors on the quadric cone x1^2+x2^2+x3^2 = x4^2: the lifted kernel
-        # is spanned by a matrix with three eigenvalues of one sign, which no
-        # pair can realize, so the honest verdict stays Undecided
+        # is one line spanned by a matrix with three eigenvalues of one sign,
+        # which no pair can realize, so the kernel certifies without a search
         f = quadric_cone_frame_4d(9, seed=777)
         cert = certify(f, budget=200, seed=0)
-        assert cert.verdict == "Undecided"
-        assert cert.method == "MonteCarlo"
+        assert cert.verdict == "CertifiedCPR"
+        assert cert.method == "KernelInertia"
         assert cert.kernel_dim == 1
-        assert cert.trials["restarts"] == 200
-        assert cert.trials["best_gap"] > 1e-6
+        assert cert.trials is None
 
     def test_m4_no_budget(self):
         f = quadric_cone_frame_4d(9, seed=778)
         cert = certify(f)
+        assert cert.verdict == "CertifiedCPR"
+        assert cert.method == "KernelInertia"
+        assert cert.kernel_dim == 1
+
+    def test_undecided_search_stats(self):
+        # 6x18 has kernel dimension 3, where only the search can go on; a
+        # generic frame of 4M-6 vectors retrieves, so it finds nothing
+        f = random_frame(6, 18, seed=3)
+        cert = certify(f, budget=20, seed=0)
         assert cert.verdict == "Undecided"
-        assert cert.trials["restarts"] == 0
+        assert cert.method == "MonteCarlo"
+        assert cert.kernel_dim == 3
+        assert cert.trials["restarts"] == 20
+        assert cert.trials["best_gap"] > 1e-6
+        idle = certify(f)
+        assert idle.verdict == "Undecided"
+        assert idle.trials == {"restarts": 0, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "eigs", [(2.0, 0.5, -1.0, -3.0), (1.5, 0.7, -0.4, -2.0, 0.0)]
+    )
+    def test_kdim1_inertia_22_exact_witness(self, eigs):
+        h = rotated_diag(eigs, seed=len(eigs))
+        m = len(eigs)
+        f = frame_on_cone(h, m * (m + 1) // 2 - 1, seed=m)
+        cert = certify(f, budget=50, seed=0)
+        assert cert.verdict == "NotCPR"
+        assert cert.method == "KernelWitness"
+        assert cert.kernel_dim == 1
+        assert cert.trials is None
+        verify_witness(f, cert.witness, dist_floor=0.1)
+        assert cert.witness.residual <= 1e-10
+        verify_witness(f, falsify_exact(f), dist_floor=0.1)
+
+    def test_kdim1_inertia_decides_generic_5x14(self):
+        for seed in range(5):
+            cert = certify(random_frame(5, 14, seed=seed), budget=10, seed=seed)
+            assert cert.verdict == "CertifiedCPR"
+            assert cert.method == "KernelInertia"
+            assert cert.kernel_dim == 1
+
+    def test_in_band_eigenvalue_falls_through(self):
+        # the eigenvalue that would make (2, 1) into (3, 1) sits between
+        # ZERO_EIG_TOL and INERTIA_MARGIN: too close to zero to sign
+        f = frame_on_cone(rotated_diag((1.0, 0.8, 1e-8, -1.2), seed=9), 9, seed=9)
+        cert = certify(f)
+        assert cert.kernel_dim == 1
+        assert cert.verdict == "Undecided"
+        assert cert.method == "MonteCarlo"
+        assert cert.trials == {"restarts": 0, "seed": 0}
+        with pytest.raises(WrongDimensionError):
+            falsify_exact(f)
+        # the same frame shape with a clear third eigenvalue certifies, and
+        # one inside ZERO_EIG_TOL counts as zero and is realized
+        clear = frame_on_cone(rotated_diag((1.0, 0.8, 1e-3, -1.2), seed=9), 9, seed=9)
+        assert certify(clear).method == "KernelInertia"
+        zero = frame_on_cone(rotated_diag((1.0, 0.8, 1e-13, -1.2), seed=9), 9, seed=9)
+        cert = certify(zero)
+        assert cert.method == "KernelWitness"
+        verify_witness(zero, cert.witness, dist_floor=0.1)
+
+    def test_m2_violating_subset_matches_walk(self):
+        rng = rng_stream(507, 0)
+        for n in range(2, 15):
+            for _ in range(40 if n <= 10 else 3):
+                u, v = rng.standard_normal((2, 2))
+                side = rng.integers(0, 3, size=n)  # 0: line u, 1: line v, 2: zero
+                side[rng.permutation(n)[:2]] = (0, 1)  # both lines present
+                scale = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+                mat = np.where(side == 0, u[:, None], v[:, None]) * scale
+                mat[:, side == 2] = 0.0
+                f = RealFrame(mat)
+                cert = certify(f)
+                ok, walk = complement_property(f)
+                assert not ok and cert.verdict == "NotCPR"
+                assert cert.violating_subset == walk
 
     def test_m1_always_certified(self):
         cert = certify(RealFrame([[1.0, 2.0]]))
@@ -230,6 +322,12 @@ class TestFalsifyExact:
         with pytest.raises(WrongDimensionError):
             falsify_exact(random_frame(4, 8, seed=0))
 
+    def test_kernel_proves_no_pair(self):
+        with pytest.raises(NoKernelError, match="three eigenvalues"):
+            falsify_exact(quadric_cone_frame_4d(9, seed=777))
+        with pytest.raises(NoKernelError, match="injective"):
+            falsify_exact(random_frame(4, 10, seed=0))
+
 
 class TestFalsifySearch:
     def test_finds_witnesses_underdetermined_m3(self):
@@ -259,6 +357,18 @@ class TestFalsifySearch:
     def test_budget_validation(self):
         with pytest.raises(ValidationError):
             falsify_search(FRAME_2X3, budget=0)
+
+    def test_kernel_decided_frames_run_no_restart(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair_search ran on a kernel-decided frame")
+
+        monkeypatch.setattr(_kernels, "pair_search", refuse)
+        frames = [random_frame(4, 10, seed=s) for s in range(3)]
+        frames += [random_frame(5, 14, seed=s) for s in range(3)]
+        frames += [quadric_cone_frame_4d(9, seed=777), FRAME_2X3]
+        for f in frames:
+            assert falsify_search(f, budget=10_000, seed=0) is None
+            assert certify(f, budget=64).verdict == "CertifiedCPR"
 
 
 class TestPairSearchKernel:

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import quadric_cone_frame_4d
 
 from conjpr import (
     ComplexFrame,
@@ -12,6 +16,7 @@ from conjpr import (
     random_frame,
     rng_stream,
 )
+import conjpr
 from conjpr import frames_io
 from conjpr.cli import main
 
@@ -189,13 +194,38 @@ class TestFalsify:
         assert doc["restarts"] == 0
 
     def test_search_budget_reported(self, tmp_path, capsys):
+        # 4x8 has kernel dimension 2: only here does the search run
+        path = tmp_path / "f.json"
+        frames_io.save_frame(random_frame(4, 8, seed=18), path)
+        code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "100", "--json")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["restarts"] == 100
+
+    def test_injective_lift_runs_no_restart(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         frames_io.save_frame(random_frame(4, 10, seed=18), path)
         code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "100", "--json")
         assert code == 0
-        doc = json.loads(stdout)
-        assert doc["found"] is False
-        assert doc["restarts"] == 100
+        assert json.loads(stdout) == {"found": False, "witness": None, "restarts": 0}
+        code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "100")
+        assert stdout.strip() == "no witness exists: the lifted operator is injective"
+
+    def test_quadric_cone_kernel_runs_no_restart(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        frames_io.save_frame(quadric_cone_frame_4d(9, seed=704), path)
+        code, stdout, _ = run(capsys, "falsify", str(path), "--json")
+        assert code == 0
+        assert json.loads(stdout) == {"found": False, "witness": None, "restarts": 0}
+        code, stdout, _ = run(capsys, "falsify", str(path))
+        assert stdout.startswith("no witness exists: the lifted kernel")
+
+    def test_budget_validation_exit2(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        frames_io.save_frame(random_frame(3, 5, seed=17), path)
+        code, _, err = run(capsys, "falsify", str(path), "--budget", "0")
+        assert code == 2
+        assert "budget" in err
 
 
 class TestWitnessCommand:
@@ -258,6 +288,8 @@ class TestSubprocessDeterminism:
         path = tmp_path / "f.json"
         frames_io.save_frame(random_frame(2, 3, seed=1), path)
         cmd = [sys.executable, "-m", "conjpr.cli", "certify", str(path), "--json"]
-        a = subprocess.run(cmd, capture_output=True, check=True).stdout
-        b = subprocess.run(cmd, capture_output=True, check=True).stdout
+        # the child imports the same conjpr as this process, installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(conjpr.__file__).parents[1]))
+        a = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+        b = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
         assert a == b and a

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_signal
+from conftest import quadric_cone_frame_4d, random_signal
 
 from conjpr import (
     ComplexFrame,
@@ -181,6 +181,15 @@ class TestRoundTrips:
         assert back.method == cert.method
         assert back.det_value == cert.det_value
         assert back.kernel_dim == cert.kernel_dim
+        assert wfile is None
+
+    def test_kernel_inertia_certificate_roundtrip(self, tmp_path):
+        cert = certify(quadric_cone_frame_4d(9, seed=301))
+        assert cert.method == "KernelInertia"
+        path = tmp_path / "c.json"
+        frames_io.save_certificate(cert, path)
+        back, wfile = frames_io.load_certificate(path)
+        assert back == cert
         assert wfile is None
 
     def test_matrix_roundtrip(self, tmp_path):

@@ -84,6 +84,17 @@ class TestOmegaMatrix:
         with pytest.raises(ValidationError):
             omega_matrix(np.array([[1j, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            omega_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_bit_identical_to_columnwise_omega(self):
+        rng = rng_stream(205, 0)
+        for m in range(1, 9):
+            mat = rng.standard_normal((m, m * (m + 1) // 2 + 3))
+            columnwise = np.array([omega(mat[:, k]) for k in range(mat.shape[1])])
+            assert np.array_equal(omega_matrix(mat), columnwise)
+
 
 class TestApplyLift:
     def test_zero(self):

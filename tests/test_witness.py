@@ -7,6 +7,7 @@ from conftest import (
     measurement_gap,
     random_orthogonal,
     random_signal,
+    symmetrized,
 )
 
 from conjpr import (
@@ -22,7 +23,7 @@ from conjpr import (
     witness_diag_m3_degenerate,
     witness_general,
 )
-from conjpr.errors import DefiniteInputError, ValidationError, WrongDimensionError
+from conjpr.errors import DefiniteInputError, ValidationError
 
 
 def check_pair_realizes(pair, target, tol=1e-12):
@@ -126,8 +127,36 @@ class TestWitnessGeneral:
             witness_general(np.zeros((2, 2)))
 
     def test_wrong_dimension(self):
-        with pytest.raises(WrongDimensionError):
+        # beyond m = 3 the inertia decides, not the dimension: three
+        # eigenvalues of one sign are out of reach of any pair, two of each
+        # are realized by the spectral split
+        with pytest.raises(DefiniteInputError, match="rank-<=2 PSD"):
             witness_general(np.diag([1.0, 1.0, 1.0, -1.0]))
+        h = np.diag([2.0, 0.5, -1.0, -3.0])
+        u = random_orthogonal(rng_stream(410, 0), 4)
+        h = symmetrized(u @ h @ u.T)
+        check_pair_realizes(witness_general(h), h, tol=1e-10)
+
+    def test_spectral_split_all_dimensions(self):
+        rng = rng_stream(411, 0)
+        for _ in range(200):
+            m = int(rng.integers(4, 9))
+            npos, nneg = (int(k) for k in rng.integers(1, 3, size=2))
+            lam = np.zeros(m)
+            lam[:npos] = rng.uniform(0.05, 3.0, npos)
+            lam[npos : npos + nneg] = -rng.uniform(0.05, 3.0, nneg)
+            u = random_orthogonal(rng, m)
+            h = symmetrized(u @ np.diag(lam) @ u.T)
+            pair = witness_general(h)
+            check_pair_realizes(pair, h, tol=1e-10)
+            assert not conj_equivalent(pair.x, pair.y)
+
+    def test_closed_forms_unchanged_below_four(self):
+        # m in {2, 3} keep the closed forms: same bits as the diagonal leaves
+        pair = witness_general(np.diag([2.0, 0.5, -1.0]))
+        base = witness_diag_m3(2.0, 0.5, 1.0)
+        assert np.array_equal(np.abs(pair.x), np.abs(base.x))
+        assert np.array_equal(np.abs(pair.y), np.abs(base.y))
 
     def test_requires_exact_symmetry(self):
         with pytest.raises(ValidationError):
