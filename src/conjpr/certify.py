@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import im_products, is_phased_real, real_lift
+from .algebra import is_phased_real, real_lift
 from .errors import (
     DefiniteInputError,
     IndefinitenessViolationError,
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     WrongDimensionError,
 )
-from .frames_io import ComplexFrame, RealFrame, rng_stream
+from .frames_io import ComplexFrame, RealFrame, _restart_starts, rng_stream
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
 from .witness import ZERO_EIG_TOL, WitnessPair, witness_general
 from . import _kernels
@@ -286,20 +286,10 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     )
 
 
-def _search_starts(m: int, budget: int, seed: int) -> np.ndarray:
-    children = np.random.SeedSequence(entropy=seed).spawn(budget)
-    starts = np.empty((budget, 4 * m))
-    for i, child in enumerate(children):
-        starts[i] = np.random.default_rng(child).standard_normal(4 * m)
-    return starts
-
-
 def _search_with_stats(frame, budget: int, seed: int):
-    if budget < 1:
-        raise ValidationError("budget must be at least 1")
     phi = frame.matrix
     m = phi.shape[0]
-    starts = _search_starts(m, budget, seed)
+    starts = _restart_starts(seed, budget, 4 * m)
     zs, fs, fmeas, ds, _ = _kernels.pair_search(
         phi, starts, SEARCH_DISTANCE, _SEARCH_PENALTY, _SEARCH_MAX_ITER
     )
@@ -393,13 +383,8 @@ def im_gram(frame) -> np.ndarray:
     nullspace.
     """
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
-    m, n = mat.shape
-    rows = np.empty((n, m * (m - 1) // 2))
-    col = np.empty(m, dtype=np.complex128)
-    for k in range(n):
-        col[:] = mat[:, k]
-        rows[k] = -im_products(col)  # Im(conj(a) b) = -Im(a conj(b))
-    return rows
+    iu, ju = np.triu_indices(mat.shape[0], k=1)
+    return np.imag(mat[iu].conj() * mat[ju]).T
 
 
 def _skew_from_pairs(s: np.ndarray, m: int) -> np.ndarray:

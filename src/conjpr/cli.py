@@ -24,20 +24,17 @@ from .certify import certify, falsify_exact, falsify_search, kernel_basis, stric
 from .errors import (
     CprError,
     DefiniteInputError,
-    FileFormatError,
     IndefinitenessViolationError,
     NoKernelError,
     NotPSDError,
     UnderdeterminedError,
     ValidationError,
-    WrongDimensionError,
 )
 from .frames_io import ComplexFrame
 from .lift import measure, omega_matrix  # noqa: F401
 from .reconstruct import reconstruct_altproj, reconstruct_linear
 from .witness import cone_frame, witness_general
 
-_USAGE_ERRORS = (ValidationError, FileFormatError, WrongDimensionError)
 _NUMERICAL_ERRORS = (
     NotPSDError,
     UnderdeterminedError,
@@ -53,10 +50,6 @@ def _emit(args, doc: dict, human_lines) -> None:
     else:
         for line in human_lines:
             print(line)
-
-
-def _signal_pairs(x) -> list:
-    return [[float(v.real), float(v.imag)] for v in x]
 
 
 def _cmd_gen(args) -> int:
@@ -112,21 +105,7 @@ def _cmd_certify(args) -> int:
         lines.append(f"witness written to {witness_file}")
     if cert.trials:
         lines.append(f"search stats: {cert.trials}")
-    _emit(
-        args,
-        {
-            "verdict": cert.verdict,
-            "method": cert.method,
-            "det_value": cert.det_value,
-            "kernel_dim": cert.kernel_dim,
-            "witness_file": witness_file,
-            "trials": cert.trials,
-            "violating_subset": None
-            if cert.violating_subset is None
-            else list(cert.violating_subset),
-        },
-        lines,
-    )
+    _emit(args, frames_io.certificate_doc(cert, witness_file), lines)
     return 0
 
 
@@ -211,16 +190,7 @@ def _cmd_falsify(args) -> int:
         return 0
     _emit(
         args,
-        {
-            "found": True,
-            "witness": {
-                "x": _signal_pairs(pair.x),
-                "y": _signal_pairs(pair.y),
-                "target": [[float(v) for v in row] for row in pair.target],
-                "residual": pair.residual,
-            },
-            "restarts": restarts,
-        },
+        {"found": True, "witness": frames_io.witness_doc(pair), "restarts": restarts},
         [
             "witness pair found:",
             f"  x = {np.array2string(pair.x, precision=6)}",
@@ -257,14 +227,15 @@ def _cmd_witness(args) -> int:
 def _cmd_strict(args) -> int:
     frame = frames_io.load_frame(args.frame)
     report = strict_report(frame)
+    y = report.witness_y
     doc = {
         "verdict": report.verdict,
-        "witness_y": None if report.witness_y is None else _signal_pairs(report.witness_y),
+        "witness_y": None if y is None else frames_io.complex_pairs(y),
         "im_gram_nullity": report.im_gram_nullity,
     }
     lines = [f"{report.verdict} (imaginary-gram nullity {report.im_gram_nullity})"]
-    if report.witness_y is not None:
-        lines.append(f"witness y = {np.array2string(report.witness_y, precision=6)}")
+    if y is not None:
+        lines.append(f"witness y = {np.array2string(y, precision=6)}")
     _emit(args, doc, lines)
     return 0
 
@@ -352,15 +323,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
     except CprError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,9 @@ vectors; spanning is enforced at construction.  All file formats are JSON
 with complex scalars as [re, im] pairs; real frames may also round-trip
 through headerless CSV (M rows, N comma-separated columns).  Floats are
 written with Python's shortest round-trip repr, so save/load is bit-exact.
+Each document has one builder and one parser here: the cli prints the
+certificate and witness documents that save_* writes, and every number a
+loader reads passes one scalar check (finite, never a bool).
 
 Randomness: all streams come from numpy's PCG64 seeded through
 ``SeedSequence(entropy=seed, spawn_key=(stream_index,))`` (see
@@ -36,66 +39,63 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
-def _validate_frame_matrix(matrix: np.ndarray, what: str) -> None:
-    if matrix.ndim != 2:
-        raise ValidationError(f"{what} matrix must be 2-D, got shape {matrix.shape}")
-    m, n = matrix.shape
-    if m < 1:
-        raise ValidationError(f"{what} needs at least one row")
-    if n < m:
-        raise ValidationError(f"{what} needs n >= m columns, got {m}x{n}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError(f"{what} has non-finite entries")
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    tol = m * _EPS * 64
-    if sv[0] == 0.0 or np.sum(sv > tol * sv[0]) < m:
-        raise ValidationError(f"{what} does not span: numeric rank < {m}")
+def _restart_starts(seed: int, restarts: int, dim: int) -> np.ndarray:
+    """Multistart initial points: row i is a standard normal draw from stream (seed, i)."""
+    starts = np.empty((restarts, dim))
+    for i in range(restarts):
+        starts[i] = rng_stream(seed, i).standard_normal(dim)
+    return starts
 
 
 @dataclass(frozen=True)
-class RealFrame:
+class _Frame:
+    """M x N matrix whose columns are the measurement vectors."""
+
+    matrix: np.ndarray
+    _dtype = np.float64
+    _label = "real frame"
+
+    def __post_init__(self):
+        mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=self._dtype))
+        object.__setattr__(self, "matrix", mat)
+        what = self._label
+        if mat.ndim != 2:
+            raise ValidationError(f"{what} matrix must be 2-D, got shape {mat.shape}")
+        m, n = mat.shape
+        if m < 1:
+            raise ValidationError(f"{what} needs at least one row")
+        if n < m:
+            raise ValidationError(f"{what} needs n >= m columns, got {m}x{n}")
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError(f"{what} has non-finite entries")
+        sv = np.linalg.svd(mat, compute_uv=False)
+        tol = m * _EPS * 64
+        if sv[0] == 0.0 or np.sum(sv > tol * sv[0]) < m:
+            raise ValidationError(f"{what} does not span: numeric rank < {m}")
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
+
+    def column(self, k: int) -> np.ndarray:
+        return self.matrix[:, k]
+
+
+@dataclass(frozen=True)
+class RealFrame(_Frame):
     """M x N real matrix whose columns are the measurement vectors."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
-        object.__setattr__(self, "matrix", mat)
-        _validate_frame_matrix(mat, "real frame")
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k]
-
 
 @dataclass(frozen=True)
-class ComplexFrame:
+class ComplexFrame(_Frame):
     """M x N complex matrix whose columns are the measurement vectors."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.complex128))
-        object.__setattr__(self, "matrix", mat)
-        _validate_frame_matrix(mat, "complex frame")
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k]
+    _dtype = np.complex128
+    _label = "complex frame"
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ class Measurement:
             raise ValidationError("measurement values must be 1-D")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("measurement values have non-finite entries")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
+        # `not >= 0` also rejects nan, which the measurement file could not hold
+        if self.noise_sigma is not None and not self.noise_sigma >= 0:
             raise ValidationError("noise_sigma must be nonnegative")
         if not self.noise_sigma and np.any(vals < 0):
             raise ValidationError("noiseless measurements must be nonnegative")
@@ -166,35 +167,92 @@ def frame_bounds(frame) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one builder per emitted document, one parser per JSON shape
 # ---------------------------------------------------------------------------
 
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
-def _pair_to_complex(pair, field_name: str) -> complex:
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
-    ):
-        raise FileFormatError(f"field '{field_name}': complex entries must be [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+def complex_pairs(x) -> list:
+    """A complex vector as the files' list of [re, im] pairs."""
+    return [[float(v.real), float(v.imag)] for v in x]
 
 
-def _require(doc: dict, key: str, kind) -> object:
+def _rows(mat) -> list:
+    return [[float(v) for v in row] for row in mat]
+
+
+def witness_doc(pair) -> dict:
+    """The witness document: `save_witness` writes it, `cpr falsify --json` prints it."""
+    return {
+        "x": complex_pairs(pair.x),
+        "y": complex_pairs(pair.y),
+        "target": _rows(pair.target),
+        "residual": float(pair.residual),
+    }
+
+
+def certificate_doc(cert, witness_file=None) -> dict:
+    """The certificate document: `save_certificate` writes it, `cpr certify --json` prints it."""
+    subset = cert.violating_subset
+    return {
+        "verdict": cert.verdict,
+        "method": cert.method,
+        "det_value": None if cert.det_value is None else float(cert.det_value),
+        "kernel_dim": cert.kernel_dim,
+        "witness_file": None if witness_file is None else str(witness_file),
+        "trials": cert.trials,
+        "violating_subset": None if subset is None else [int(i) for i in subset],
+    }
+
+
+def _number(val, name: str) -> float:
+    """The one scalar check of every loader: a finite JSON number, never a bool."""
+    # abs(val) <= max is False for nan, +-inf and ints beyond the float range
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= _FLOAT_MAX:
+        raise FileFormatError(f"field '{name}' must be a finite number")
+    return float(val)
+
+
+def _size(val, name: str) -> int:
+    """A dimension or an index: a non-negative int, never a bool."""
+    if _number(val, name) < 0 or not isinstance(val, int):
+        raise FileFormatError(f"field '{name}' must be a non-negative integer")
+    return val
+
+
+def _complex(val, name: str) -> complex:
+    if not isinstance(val, list) or len(val) != 2:
+        raise FileFormatError(f"field '{name}': complex entries must be [re, im] pairs")
+    return complex(_number(val[0], name), _number(val[1], name))
+
+
+def _vector(val, name: str, parse=_number, length: int | None = None) -> list:
+    """A JSON list parsed entry by entry; ``length``, when given, pins its size."""
+    if not isinstance(val, list):
+        raise FileFormatError(f"field '{name}' must be a list")
+    if length is not None and len(val) != length:
+        raise FileFormatError(f"field '{name}' has {len(val)} entries, expected {length}")
+    return [parse(v, f"{name}[{j}]") for j, v in enumerate(val)]
+
+
+def _table(val, name: str, rows: int, cols: int, parse=_number) -> np.ndarray:
+    """A rows x cols nested list, every entry through ``parse``."""
+    table = _vector(val, name, lambda row, where: _vector(row, where, parse, cols), rows)
+    return np.array(table).reshape(rows, cols)
+
+
+def _require(doc: dict, key: str, kind=object):
     if key not in doc:
         raise FileFormatError(f"missing field '{key}'")
-    val = doc[key]
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise FileFormatError(f"field '{key}' must be a number")
-        return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(doc[key], kind):
         raise FileFormatError(f"field '{key}' has wrong type")
-    return val
+    return doc[key]
+
+
+def _optional(doc: dict, key: str, parse):
+    val = doc.get(key)
+    return None if val is None else parse(val, key)
 
 
 def _load_json(path) -> dict:
@@ -214,28 +272,19 @@ def _dump_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def _check_finite_nested(values, field_name: str) -> None:
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise FileFormatError(f"field '{field_name}' has non-finite values")
-
-
 def save_frame(frame, path) -> None:
     """Write a frame; `.csv` extension selects CSV (real frames only)."""
     path = Path(path)
+    is_real = isinstance(frame, RealFrame)
     if path.suffix.lower() == ".csv":
-        if not isinstance(frame, RealFrame):
+        if not is_real:
             raise FileFormatError("CSV frames must be real-valued")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             for row in frame.matrix:
                 writer.writerow([repr(float(v)) for v in row])
         return
-    is_real = isinstance(frame, RealFrame)
-    if is_real:
-        cols = [[float(v) for v in frame.matrix[:, k]] for k in range(frame.n)]
-    else:
-        cols = [[_complex_to_pair(v) for v in frame.matrix[:, k]] for k in range(frame.n)]
+    cols = _rows(frame.matrix.T) if is_real else [complex_pairs(c) for c in frame.matrix.T]
     _dump_json(
         {
             "m": frame.m,
@@ -262,51 +311,28 @@ def load_frame(path):
                     raise FileFormatError(f"bad CSV number: {exc}") from exc
         if not rows or len({len(r) for r in rows}) != 1:
             raise FileFormatError("CSV frame must be a nonempty rectangular table")
-        _check_finite_nested(rows, "csv")
-        return RealFrame(np.array(rows, dtype=np.float64))
+        return RealFrame(_table(rows, "csv", len(rows), len(rows[0])))
     doc = _load_json(path)
-    m = int(_require(doc, "m", int))
-    n = int(_require(doc, "n", int))
+    m = _size(_require(doc, "m"), "m")
+    n = _size(_require(doc, "n"), "n")
     field = _require(doc, "field", str)
-    cols = _require(doc, "columns", list)
     if field not in ("real", "complex"):
         raise FileFormatError("field 'field' must be 'real' or 'complex'")
-    if len(cols) != n:
-        raise FileFormatError(f"field 'columns' has {len(cols)} columns, expected n={n}")
-    mat = np.empty((m, n), dtype=np.float64 if field == "real" else np.complex128)
-    for k, col in enumerate(cols):
-        if not isinstance(col, list) or len(col) != m:
-            raise FileFormatError(f"field 'columns[{k}]' must list m={m} entries")
-        for j, entry in enumerate(col):
-            if field == "real":
-                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                    raise FileFormatError(f"field 'columns[{k}][{j}]' must be a number")
-                mat[j, k] = float(entry)
-            else:
-                mat[j, k] = _pair_to_complex(entry, f"columns[{k}][{j}]")
-    if not np.all(np.isfinite(mat)):
-        raise FileFormatError("field 'columns' has non-finite values")
+    parse = _number if field == "real" else _complex
+    mat = _table(_require(doc, "columns"), "columns", n, m, parse).T
     return RealFrame(mat) if field == "real" else ComplexFrame(mat)
 
 
 def save_signal(x, path) -> None:
     x = np.asarray(x, dtype=np.complex128)
-    _dump_json({"m": int(x.shape[0]), "entries": [_complex_to_pair(v) for v in x]}, path)
+    _dump_json({"m": int(x.shape[0]), "entries": complex_pairs(x)}, path)
 
 
 def load_signal(path) -> np.ndarray:
     doc = _load_json(path)
-    m = int(_require(doc, "m", int))
-    entries = _require(doc, "entries", list)
-    if len(entries) != m:
-        raise FileFormatError(f"field 'entries' has {len(entries)} entries, expected m={m}")
-    out = np.array(
-        [_pair_to_complex(e, f"entries[{j}]") for j, e in enumerate(entries)],
-        dtype=np.complex128,
-    )
-    if not np.all(np.isfinite(out)):
-        raise FileFormatError("field 'entries' has non-finite values")
-    return out
+    m = _size(_require(doc, "m"), "m")
+    entries = _vector(_require(doc, "entries"), "entries", _complex, m)
+    return np.array(entries, dtype=np.complex128)
 
 
 def save_measurement(meas: Measurement, path) -> None:
@@ -317,14 +343,8 @@ def save_measurement(meas: Measurement, path) -> None:
 
 def load_measurement(path) -> Measurement:
     doc = _load_json(path)
-    values = _require(doc, "values", list)
-    for j, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FileFormatError(f"field 'values[{j}]' must be a number")
-    _check_finite_nested(values, "values")
-    sigma = doc.get("noise_sigma")
-    if sigma is not None:
-        sigma = _require(doc, "noise_sigma", float)
+    values = _vector(_require(doc, "values"), "values")
+    sigma = _optional(doc, "noise_sigma", _number)
     try:
         return Measurement(np.array(values, dtype=np.float64), sigma)
     except ValidationError as exc:
@@ -334,73 +354,37 @@ def load_measurement(path) -> Measurement:
 def save_matrix(matrix: np.ndarray, path) -> None:
     """Write a real symmetric matrix as {"m", "rows"}."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    _dump_json(
-        {"m": int(matrix.shape[0]), "rows": [[float(v) for v in row] for row in matrix]},
-        path,
-    )
+    _dump_json({"m": int(matrix.shape[0]), "rows": _rows(matrix)}, path)
 
 
 def load_matrix(path) -> np.ndarray:
     doc = _load_json(path)
-    m = int(_require(doc, "m", int))
-    rows = _require(doc, "rows", list)
-    if len(rows) != m or any(not isinstance(r, list) or len(r) != m for r in rows):
-        raise FileFormatError(f"field 'rows' must be an {m}x{m} table")
-    _check_finite_nested(rows, "rows")
-    mat = np.array(rows, dtype=np.float64)
+    m = _size(_require(doc, "m"), "m")
+    mat = _table(_require(doc, "rows"), "rows", m, m)
     if not np.array_equal(mat, mat.T):
         raise FileFormatError("field 'rows' must be exactly symmetric")
     return mat
 
 
 def save_witness(pair, path) -> None:
-    _dump_json(
-        {
-            "x": [_complex_to_pair(v) for v in pair.x],
-            "y": [_complex_to_pair(v) for v in pair.y],
-            "target": [[float(v) for v in row] for row in pair.target],
-            "residual": float(pair.residual),
-        },
-        path,
-    )
+    _dump_json(witness_doc(pair), path)
 
 
 def load_witness(path):
     from .witness import WitnessPair
 
     doc = _load_json(path)
-    xs = _require(doc, "x", list)
-    ys = _require(doc, "y", list)
-    target = _require(doc, "target", list)
-    residual = _require(doc, "residual", float)
-    x = np.array([_pair_to_complex(e, f"x[{j}]") for j, e in enumerate(xs)], dtype=np.complex128)
-    y = np.array([_pair_to_complex(e, f"y[{j}]") for j, e in enumerate(ys)], dtype=np.complex128)
-    if x.shape != y.shape:
-        raise FileFormatError("fields 'x' and 'y' must have equal length")
-    m = x.shape[0]
-    if len(target) != m or any(not isinstance(r, list) or len(r) != m for r in target):
-        raise FileFormatError(f"field 'target' must be an {m}x{m} table")
-    _check_finite_nested(target, "target")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise FileFormatError("fields 'x'/'y' have non-finite values")
-    return WitnessPair(x, y, np.array(target, dtype=np.float64), residual)
+    x = _vector(_require(doc, "x"), "x", _complex)
+    y = _vector(_require(doc, "y"), "y", _complex, len(x))
+    target = _table(_require(doc, "target"), "target", len(x), len(x))
+    residual = _number(_require(doc, "residual"), "residual")
+    return WitnessPair(
+        np.array(x, dtype=np.complex128), np.array(y, dtype=np.complex128), target, residual
+    )
 
 
 def save_certificate(cert, path, witness_file=None) -> None:
-    _dump_json(
-        {
-            "verdict": cert.verdict,
-            "method": cert.method,
-            "det_value": None if cert.det_value is None else float(cert.det_value),
-            "kernel_dim": cert.kernel_dim,
-            "witness_file": None if witness_file is None else str(witness_file),
-            "trials": cert.trials,
-            "violating_subset": None
-            if cert.violating_subset is None
-            else [int(i) for i in cert.violating_subset],
-        },
-        path,
-    )
+    _dump_json(certificate_doc(cert, witness_file), path)
 
 
 def load_certificate(path):
@@ -413,21 +397,14 @@ def load_certificate(path):
         raise FileFormatError(f"field 'verdict' has unknown value {verdict!r}")
     if method not in CERT_METHODS:
         raise FileFormatError(f"field 'method' has unknown value {method!r}")
-    det = doc.get("det_value")
-    if det is not None:
-        det = _require(doc, "det_value", float)
-    kdim = doc.get("kernel_dim")
-    if kdim is not None and (isinstance(kdim, bool) or not isinstance(kdim, int)):
-        raise FileFormatError("field 'kernel_dim' must be an integer")
-    subset = doc.get("violating_subset")
-    if subset is not None:
-        subset = tuple(int(i) for i in _require(doc, "violating_subset", list))
     cert = Certificate(
         verdict=verdict,
         method=method,
-        det_value=det,
-        kernel_dim=kdim,
+        det_value=_optional(doc, "det_value", _number),
+        kernel_dim=_optional(doc, "kernel_dim", _size),
         trials=doc.get("trials"),
-        violating_subset=subset,
+        violating_subset=_optional(
+            doc, "violating_subset", lambda val, key: tuple(_vector(val, key, _size))
+        ),
     )
     return cert, doc.get("witness_file")

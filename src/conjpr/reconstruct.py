@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import canonical_rep, real_lift
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
-from .frames_io import Measurement
+from .frames_io import Measurement, _restart_starts
 from .lift import devectorize, measure, omega_matrix, vectorize
 from . import _kernels
 from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
@@ -177,10 +177,7 @@ def reconstruct_altproj(
     if np.linalg.norm(bvals) == 0.0:
         return _result(om, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
     pinv = np.linalg.pinv(om)
-    children = np.random.SeedSequence(entropy=seed).spawn(restarts)
-    v0s = np.empty((restarts, L))
-    for i, child in enumerate(children):
-        v0s[i] = np.random.default_rng(child).standard_normal(L)
+    v0s = _restart_starts(seed, restarts, L)
     v, _, iters, _, converged = _kernels.altproj(om, pinv, bvals, v0s, max_iter, tol)
     Q2 = devectorize(v)
     xhat, *_ = _truncate_psd2(Q2, 1.0)  # Q2 is PSD rank<=2 by construction

@@ -414,6 +414,14 @@ class TestImGram:
     def test_real_frame_rows_vanish(self):
         assert np.array_equal(im_gram(FRAME_2X3), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_broadcast_equals_per_column_loop(self, m):
+        rng = rng_stream(503, m)
+        mat = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+        # Im(conj(a) b) = -Im(a conj(b)), column by column
+        want = np.array([-im_products(mat[:, k]) for k in range(m + 2)])
+        assert np.array_equal(im_gram(ComplexFrame(mat)), want)
+
 
 def phased_real_frame(rng, m, n):
     cols = []

@@ -103,6 +103,18 @@ class TestCertify:
         assert np.linalg.norm(bx - by) <= 1e-9 * np.linalg.norm(bx)
         assert conj_class_distance(pair.x, pair.y) >= 0.05
 
+    @pytest.mark.parametrize(
+        "frame",
+        [frames_io.RealFrame(FRAME_2X3), random_frame(3, 5, seed=11), random_frame(2, 2, seed=3)],
+    )
+    def test_json_is_the_written_certificate(self, tmp_path, capsys, frame):
+        path = tmp_path / "f.json"
+        frames_io.save_frame(frame, path)
+        cpath = tmp_path / "c.json"
+        code, stdout, _ = run(capsys, "certify", str(path), "--json", "-o", str(cpath))
+        assert code == 0
+        assert json.loads(stdout) == json.loads(cpath.read_text())
+
     def test_complex_frame_redirected(self, tmp_path, capsys):
         path = tmp_path / "cf.json"
         rng = rng_stream(701, 0)
@@ -157,6 +169,18 @@ class TestMeasureReconstruct:
         run(capsys, "measure", str(fpath), str(spath), "--noise-sigma", "1e-3", "--seed", "9", "-o", str(b2))
         assert b1.read_bytes() == b2.read_bytes()
         assert frames_io.load_measurement(b1).noise_sigma == 1e-3
+
+    def test_nan_noise_exit2(self, tmp_path, capsys):
+        fpath = write_frame_2x3(tmp_path)
+        spath = tmp_path / "x.json"
+        frames_io.save_signal(np.array([1.0, 1j]), spath)
+        bpath = tmp_path / "b.json"
+        code, _, err = run(
+            capsys, "measure", str(fpath), str(spath), "--noise-sigma", "nan", "-o", str(bpath)
+        )
+        assert code == 2
+        assert "noise_sigma" in err
+        assert not bpath.exists()
 
     def test_dimension_mismatch_exit2(self, tmp_path, capsys):
         fpath = write_frame_2x3(tmp_path)
@@ -220,6 +244,16 @@ class TestFalsify:
         code, stdout, _ = run(capsys, "falsify", str(path))
         assert stdout.startswith("no witness exists: the lifted kernel")
 
+    def test_json_witness_is_the_certify_witness_file(self, tmp_path, capsys):
+        path = tmp_path / "f35.json"
+        frames_io.save_frame(random_frame(3, 5, seed=11), path)
+        code, stdout, _ = run(capsys, "falsify", str(path), "--json")
+        assert code == 0
+        witness = json.loads(stdout)["witness"]
+        code, _, _ = run(capsys, "certify", str(path))
+        assert code == 0
+        assert witness == json.loads((tmp_path / "f35.witness.json").read_text())
+
     def test_budget_validation_exit2(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         frames_io.save_frame(random_frame(3, 5, seed=17), path)
@@ -281,6 +315,27 @@ class TestStrict:
         code, stdout, _ = run(capsys, "strict", str(path))
         assert code == 0
         assert "ComplexPRCandidate" in stdout
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("certify", {"m": -1, "n": 0, "field": "real", "columns": []}),
+            ("witness", {"m": 2, "rows": [["a", "b"], ["c", "d"]]}),
+            ("witness", {"m": 2, "rows": [[True, 0], [0, -1]]}),
+        ],
+    )
+    def test_exit2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "witness":
+            argv = [command, "--matrix", str(path), "-o", str(tmp_path / "p.json")]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error [FileFormat]: field '")
 
 
 class TestSubprocessDeterminism:

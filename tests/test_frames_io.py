@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -18,6 +19,44 @@ from conjpr import (
 )
 from conjpr import frames_io
 from conjpr.errors import FileFormatError, ValidationError
+
+INF = float("inf")
+
+#: A valid document per loader; TestErrors corrupts one field at a time.
+VALID_DOCS = {
+    "frame": (
+        frames_io.load_frame,
+        {"m": 2, "n": 3, "field": "real", "columns": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+    ),
+    "complex_frame": (
+        frames_io.load_frame,
+        {"m": 1, "n": 2, "field": "complex", "columns": [[[1.0, 0.0]], [[0.0, 1.0]]]},
+    ),
+    "signal": (frames_io.load_signal, {"m": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}),
+    "measurement": (frames_io.load_measurement, {"values": [1.0, 2.0], "noise_sigma": 0.5}),
+    "matrix": (frames_io.load_matrix, {"m": 2, "rows": [[1.0, 0.0], [0.0, -1.0]]}),
+    "witness": (
+        frames_io.load_witness,
+        {
+            "x": [[1.0, 0.0], [0.0, 0.0]],
+            "y": [[0.0, 0.0], [1.0, 0.0]],
+            "target": [[1.0, 0.0], [0.0, -1.0]],
+            "residual": 0.0,
+        },
+    ),
+    "certificate": (
+        frames_io.load_certificate,
+        {
+            "verdict": "NotCPR",
+            "method": "KernelWitness",
+            "det_value": 1.5,
+            "kernel_dim": 1,
+            "witness_file": None,
+            "trials": None,
+            "violating_subset": [0, 1],
+        },
+    ),
+}
 
 
 class TestFrameTypes:
@@ -45,6 +84,8 @@ class TestFrameTypes:
         assert ok.n == 2
         with pytest.raises(ValidationError):
             Measurement(np.array([1.0]), noise_sigma=-1.0)
+        with pytest.raises(ValidationError):
+            Measurement(np.array([1.0]), noise_sigma=float("nan"))
 
 
 class TestRandomFrame:
@@ -65,6 +106,13 @@ class TestRandomFrame:
     def test_unknown_distribution(self):
         with pytest.raises(ValidationError):
             random_frame(2, 3, seed=0, distribution="uniform")
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_restart_starts_are_spawned_streams(self, seed):
+        # the multistart searches' starts, pinned to SeedSequence.spawn
+        children = np.random.SeedSequence(entropy=seed).spawn(5)
+        want = np.array([np.random.default_rng(c).standard_normal(6) for c in children])
+        assert np.array_equal(frames_io._restart_starts(seed, 5, 6), want)
 
 
 class TestGenericSize:
@@ -244,6 +292,85 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="verdict"):
             frames_io.load_certificate(path)
+
+    def test_negative_size_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"m": -1, "n": 0, "field": "real", "columns": []}))
+        with pytest.raises(FileFormatError, match="'m'"):
+            frames_io.load_frame(path)
+
+    def test_bool_size_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        doc = {"m": True, "n": 1, "field": "real", "columns": [[1.0]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="'m'"):
+            frames_io.load_frame(path)
+
+    def test_csv_nonfinite_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,0.0,nan\n0.0,1.0,1.0\n")
+        with pytest.raises(FileFormatError, match="csv"):
+            frames_io.load_frame(path)
+
+    @pytest.mark.parametrize(
+        "kind,where,bad",
+        [
+            ("frame", ("m",), True),
+            ("frame", ("m",), -1),
+            ("frame", ("n",), "3"),
+            ("frame", ("columns", 0, 1), True),
+            ("frame", ("columns", 0, 1), "a"),
+            ("frame", ("columns", 2, 0), INF),
+            ("frame", ("columns", 0), 1.0),
+            ("complex_frame", ("columns", 0, 0, 0), True),
+            ("complex_frame", ("columns", 1, 0, 1), INF),
+            ("complex_frame", ("columns", 0, 0), 1.0),
+            ("signal", ("m",), -2),
+            ("signal", ("entries", 1, 0), "x"),
+            ("signal", ("entries", 1, 1), INF),
+            ("signal", ("entries", 0), [1.0]),
+            ("measurement", ("values", 0), True),
+            ("measurement", ("values", 1), "2"),
+            ("measurement", ("values", 0), INF),
+            ("measurement", ("noise_sigma",), True),
+            ("measurement", ("values",), {"a": 1.0}),
+            ("matrix", ("m",), -1),
+            ("matrix", ("m",), True),
+            ("matrix", ("rows", 0, 0), True),
+            ("matrix", ("rows", 0, 1), "b"),
+            ("matrix", ("rows", 1, 1), INF),
+            ("matrix", ("rows", 1), 1.0),
+            ("witness", ("x", 0, 0), True),
+            ("witness", ("y", 1, 1), "i"),
+            ("witness", ("target", 0, 0), True),
+            ("witness", ("target", 0, 1), "a"),
+            ("witness", ("target", 1, 1), INF),
+            ("witness", ("target", 0), [1.0]),
+            ("witness", ("residual",), INF),
+            ("certificate", ("det_value",), True),
+            ("certificate", ("det_value",), "1"),
+            ("certificate", ("det_value",), INF),
+            ("certificate", ("kernel_dim",), -1),
+            ("certificate", ("kernel_dim",), True),
+            ("certificate", ("violating_subset", 0), "a"),
+            ("certificate", ("violating_subset",), 3),
+        ],
+    )
+    def test_corrupt_field_is_file_format_error(self, tmp_path, kind, where, bad):
+        """Bools, strings, non-finite numbers, negative sizes and wrong nesting
+        are FileFormatError in every loader, never ValueError or TypeError."""
+        load, doc = VALID_DOCS[kind]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        load(path)  # the uncorrupted document loads
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = bad
+        path.write_text(json.dumps(doc))  # INF is written as the literal Infinity
+        with pytest.raises(FileFormatError):
+            load(path)
 
 
 class TestGenericityMonteCarloSmoke:
