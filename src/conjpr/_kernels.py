@@ -2,8 +2,8 @@
 
 Two kernels live here:
 
-* a multistart Levenberg-Marquardt search for measurement-equal,
-  class-distinct signal pairs, vectorized over all restarts;
+* a multistart Gauss-Newton search over the unit sphere of the lift kernel
+  for a matrix that a signal pair realizes, vectorized over all restarts;
 * the alternating projection between the measurement-consistent affine set
   and the cone of PSD rank-<=2 lifts, run restart by restart.
 """
@@ -15,106 +15,76 @@ import numpy as np
 from .lift import _dim_from_lift, _half_indices, _symmetric
 
 
-def pair_search(phi, starts, delta, wpen, max_iter):
-    """Multistart pair search, batched over restarts.
+def residual_mask(w):
+    """Eigenvalues (ascending, last axis) that no pair realizes.
 
-    Each restart runs damped Gauss-Newton on the residuals
-    r_n = |<x,phi_n>|^2 - |<y,phi_n>|^2 plus the penalty
-    wpen*max(0, delta-d)^2 on the lift distance d of (x, y), retracted to the
-    joint sphere |x|^2 + |y|^2 = 2 after every step.
-
-    Returns (zs, f, fmeas, d, iters) arrays over restarts.
+    Re(xx*) - Re(yy*) has at most two eigenvalues of each sign, so all but the
+    two most negative and the two largest positive ones are residual.
     """
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    m, n = phi.shape
-    R, dim = starts.shape
-    sw = np.sqrt(wpen)
-    diag = np.arange(dim)
-    upper, lower = np.triu_indices(dim, 1)
-    signs = np.array([2.0, 2.0, -2.0, -2.0])[:, None]
+    index = np.arange(w.shape[-1])
+    return ~(((index < 2) & (w < 0.0)) | ((index >= w.shape[-1] - 2) & (w > 0.0)))
 
-    def objective(z):
-        parts = z.reshape(R, 4, m)
-        proj = parts @ phi  # (R, 4, n)
-        r = (
-            proj[:, 0] ** 2
-            + proj[:, 1] ** 2
-            - proj[:, 2] ** 2
-            - proj[:, 3] ** 2
-        )
-        fmeas = np.sum(r * r, axis=1)
-        D = (
-            np.einsum("ri,rj->rij", parts[:, 0], parts[:, 0])
-            + np.einsum("ri,rj->rij", parts[:, 1], parts[:, 1])
-            - np.einsum("ri,rj->rij", parts[:, 2], parts[:, 2])
-            - np.einsum("ri,rj->rij", parts[:, 3], parts[:, 3])
-        )
-        d = np.sqrt(np.einsum("rij,rij->r", D, D))
-        h = np.maximum(delta - d, 0.0)
-        return fmeas + wpen * h * h, fmeas, d, r, D, proj
 
-    z = starts * (np.sqrt(2.0) / np.linalg.norm(starts, axis=1))[:, None]
+def pair_search(phi, starts, delta, H, max_iter):
+    """Multistart Gauss-Newton on the unit sphere of the lift kernel, batched over restarts.
+
+    ``H`` stacks a Frobenius-orthonormal kernel basis (k, m, m).  Restart r
+    moves c from starts[r] / |starts[r]| to shrink the block U_res^T K(c) U_res
+    of K(c) = sum c_j H_j on the eigenvectors of the ``residual_mask``
+    eigenvalues; the block's derivatives u_i^T H_j u_l couple eigenvalues that
+    meet at zero.  Steps are projected onto the tangent space at c and
+    renormalized; only live restarts are computed, each on its own.
+
+    f is the squared norm of the block.  Splitting the kept eigenvalues into a
+    pair at |x|^2 + |y|^2 = 2 gives its squared measurement gap fmeas and lift
+    distance d = 2 |kept|_2 / |kept|_1 >= 1: the caller's ``delta`` <= 1 needs
+    no steering.  Returns (c, f, fmeas, d, iters) arrays over restarts.
+    """
+    R, k = starts.shape
+
+    def spectrum(c):
+        w, U = np.linalg.eigh(np.einsum("rj,jab->rab", c, H))
+        mask = residual_mask(w)
+        return w, U, mask, np.sum(np.where(mask, w, 0.0) ** 2, axis=1)
+
+    c = starts / np.linalg.norm(starts, axis=1)[:, None]
+    w, U, mask, f = spectrum(c)
     lam = np.full(R, 1e-3)
-    # r, D and proj are kept for the current z, so each iteration evaluates
-    # the objective once, at the trial point.
-    f, fmeas, d, r, D, proj = objective(z)
-    active = np.ones(R, dtype=bool)
     iters = np.zeros(R, dtype=np.int64)
-    # Jacobian and normal matrix with the restart axis last, so every
-    # elementwise step and reduction runs over contiguous restarts.
-    J = np.empty((n + 1, dim, R))
-    A = np.empty((dim, dim, R))
+    active = f >= 1e-16
     for _ in range(max_iter):
-        if not active.any():
+        live = np.flatnonzero(active)
+        if live.size == 0:
             break
-        iters[active] += 1
-        # d r_k / d z_part = +-2 (phi_k . part) phi_k
-        signed = signs * proj.transpose(2, 1, 0)  # (n, 4, R)
-        np.multiply(
-            signed[:, :, None, :], phi.T[:, None, :, None],
-            out=J[:n].reshape(n, 4, m, R),
+        iters[live] += 1
+        cl, Ul, ml = c[live], U[live], mask[live]
+        # G[r, j] = U^T H_j U on the residual block, projected onto c's tangent space
+        G = Ul.transpose(0, 2, 1)[:, None] @ H @ Ul[:, None]
+        G *= ml[:, None, :, None] & ml[:, None, None, :]
+        G -= np.einsum("rjab,rj->rab", G, cl)[:, None] * cl[:, :, None, None]
+        J = G.reshape(live.size, k, -1)
+        A = J @ J.transpose(0, 2, 1) + lam[live, None, None] * np.eye(k)
+        g = np.einsum("rjaa,ra->rj", G, np.where(ml, w[live], 0.0))
+        p = np.linalg.solve(A, -g[..., None])[..., 0]
+        cn = cl + p
+        cn /= np.linalg.norm(cn, axis=1)[:, None]
+        wn, Un, maskn, fn = spectrum(cn)
+        accept = fn < f[live]
+        took = live[accept]
+        c[took], w[took], U[took], mask[took], f[took] = (
+            cn[accept], wn[accept], Un[accept], maskn[accept], fn[accept]
         )
-        mask = d < delta
-        rho_bar = np.where(mask, sw * (delta - d), 0.0)
-        dd = np.maximum(d, 1e-12)
-        parts = z.reshape(R, 4, m)
-        for part, sign in enumerate((-1.0, -1.0, 1.0, 1.0)):
-            Dpart = np.einsum("rij,rj->ri", D, parts[:, part])
-            J[n, part * m : (part + 1) * m] = np.where(
-                mask[:, None], sign * sw * 2.0 * Dpart / dd[:, None], 0.0
-            ).T
-        rho = np.concatenate([r, rho_bar[:, None]], axis=1).T  # (n + 1, R)
-        # J^T J by blocks on and above the diagonal, then mirrored
-        for part in range(4):
-            block = slice(part * m, (part + 1) * m)
-            np.einsum(
-                "kir,kjr->ijr", J[:, block], J[:, part * m :],
-                out=A[block, part * m :],
-            )
-        A[lower, upper] = A[upper, lower]
-        A[diag, diag] += lam
-        g = np.einsum("kir,kr->ri", J, rho)
-        p = np.linalg.solve(A.transpose(2, 0, 1), -g[..., None])[..., 0]
-        zn = z + p
-        zn *= (np.sqrt(2.0) / np.linalg.norm(zn, axis=1))[:, None]
-        fn, fmeasn, dn, rn, Dn, projn = objective(zn)
-        accept = active & (fn < f)
-        z[accept] = zn[accept]
-        f[accept] = fn[accept]
-        fmeas[accept] = fmeasn[accept]
-        d[accept] = dn[accept]
-        r[accept] = rn[accept]
-        D[accept] = Dn[accept]
-        proj[accept] = projn[accept]
-        lam[accept] = np.maximum(lam[accept] / 3.0, 1e-12)
-        reject = active & ~accept
-        lam[reject] *= 4.0
+        lam[took] = np.maximum(lam[took] / 3.0, 1e-12)
+        lam[live[~accept]] *= 4.0
         step = np.linalg.norm(p, axis=1)
-        active = active & ~(
-            (accept & ((f < 1e-16) | (step < 1e-13))) | (reject & (lam > 1e10))
-        )
-    return z, f, fmeas, d, iters
+        done = np.where(accept, (fn < 1e-16) | (step < 1e-13), lam[live] > 1e10)
+        active[live[done]] = False
+    kept = np.where(mask, 0.0, w)
+    scale = 2.0 / np.sum(np.abs(kept), axis=1)
+    d = scale * np.linalg.norm(kept, axis=1)
+    proj = np.einsum("rai,an->rin", U, phi)
+    gaps = scale[:, None] * np.einsum("ri,rin->rn", kept, proj * proj)
+    return c, f, np.sum(gaps * gaps, axis=1), d, iters
 
 
 def rank2_psd_project(Q) -> np.ndarray:

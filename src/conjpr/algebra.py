@@ -32,12 +32,6 @@ def as_signal(x) -> np.ndarray:
     return arr
 
 
-def hermitian_lift(x) -> np.ndarray:
-    """Outer product x x* (complex Hermitian, rank <= 1)."""
-    x = as_signal(x)
-    return np.outer(x, x.conj())
-
-
 def real_lift(x) -> np.ndarray:
     """Real part of x x*.
 

@@ -21,7 +21,8 @@ One ladder, built on Omega and its SVD computed once per call, serves
   spectral split (KernelWitness);
 * otherwise (M >= 4 with kernel dimension >= 2, or a kernel eigenvalue too
   close to zero to sign) the question stays open: Undecided, optionally
-  refined by a randomized search for an explicit pair (SearchWitness).
+  refined by a randomized search on the unit sphere of the same kernel for
+  a matrix that a pair realizes, which then gives the pair (SearchWitness).
 
 Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
 split is attached.  Undecided is an honest verdict: search failure is never
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import is_phased_real, real_lift
+from .algebra import is_phased_real
 from .errors import (
     DefiniteInputError,
     IndefinitenessViolationError,
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .frames_io import ComplexFrame, RealFrame, _restart_starts, rng_stream
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
-from .witness import ZERO_EIG_TOL, WitnessPair, witness_general
+from .witness import ZERO_EIG_TOL, WitnessPair, _spectral_pair, witness_general
 from . import _kernels
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -74,7 +75,6 @@ INERTIA_MARGIN = 1e-6
 
 #: Minimum lift-space separation a searched pair must exhibit.
 SEARCH_DISTANCE = 0.1
-_SEARCH_PENALTY = 1e3
 _SEARCH_MAX_ITER = 100
 _SEARCH_F_TOL = 1e-12
 
@@ -225,11 +225,11 @@ def _kernel_pair(H: np.ndarray, tol: float) -> WitnessPair:
     return pair
 
 
-def _decide(frame: RealFrame, tol: float = 1e-9) -> Certificate:
+def _decide(frame: RealFrame, tol: float = 1e-9) -> tuple[Certificate, list]:
     """The exact steps of the ladder: Undecided/MonteCarlo when they do not decide.
 
-    Builds Omega and its SVD once.  ``tol`` bounds the residual of a kernel
-    witness.
+    Builds Omega and its SVD once; returns the kernel basis for the search.
+    ``tol`` bounds the residual of a kernel witness.
     """
     m, n = frame.m, frame.n
     om = omega_matrix(frame)
@@ -238,7 +238,7 @@ def _decide(frame: RealFrame, tol: float = 1e-9) -> Certificate:
     kdim = len(basis)
 
     def decided(*args, **kwargs):
-        return Certificate(*args, det_value=det_val, kernel_dim=kdim, **kwargs)
+        return Certificate(*args, det_value=det_val, kernel_dim=kdim, **kwargs), basis
 
     if kdim == 0:
         square = m in (2, 3) and det_val is not None and _det_certifies(om, det_val)
@@ -270,7 +270,7 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     question open (M >= 4 with kernel dimension >= 2).
     """
     frame = _require_real_frame(frame, "falsify_exact")
-    cert = _decide(frame, tol)
+    cert, _ = _decide(frame, tol)
     if cert.witness is not None:
         return cert.witness
     if cert.method == "KernelInertia":
@@ -286,68 +286,85 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     )
 
 
-def _search_with_stats(frame, budget: int, seed: int):
-    phi = frame.matrix
-    m = phi.shape[0]
-    starts = _restart_starts(seed, budget, 4 * m)
-    zs, fs, fmeas, ds, _ = _kernels.pair_search(
-        phi, starts, SEARCH_DISTANCE, _SEARCH_PENALTY, _SEARCH_MAX_ITER
+def _check_budget(budget, least: int) -> int:
+    """The one check of a search budget: an integer (never a bool) >= ``least``."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < least:
+        raise ValidationError(f"budget must be an integer of at least {least}, got {budget!r}")
+    return int(budget)
+
+
+def _kernel_matrices(basis: list, m: int) -> np.ndarray:
+    """Frobenius-orthonormal kernel matrices (k, m, m), by QR weighing off-diagonals sqrt(2)."""
+    weight = np.full(lift_dim(m), np.sqrt(2.0))
+    weight[:m] = 1.0
+    q, _ = np.linalg.qr(weight[:, None] * np.array(basis).T)
+    return np.stack([devectorize(v) for v in (q / weight[:, None]).T])
+
+
+def _search_with_stats(frame, basis: list, budget: int, seed: int):
+    H = _kernel_matrices(basis, frame.m)
+    starts = _restart_starts(seed, budget, len(H))
+    cs, fs, fmeas, ds, _ = _kernels.pair_search(
+        frame.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
     )
-    success = (fs <= _SEARCH_F_TOL) & (ds >= SEARCH_DISTANCE)
+    success = (fs <= _SEARCH_F_TOL) & (fmeas <= _SEARCH_F_TOL) & (ds >= SEARCH_DISTANCE)
     best = int(np.argmin(fs))
     stats = {
-        "restarts": int(budget),
+        "restarts": budget,
         "seed": int(seed),
         "best_gap": float(np.sqrt(fmeas[best])),
         "best_distance": float(ds[best]),
     }
-    hits = np.nonzero(success)[0]
+    hits = np.flatnonzero(success)
     if hits.size == 0:
         return None, stats
-    z = zs[int(hits[0])]
-    x = z[:m] + 1j * z[m : 2 * m]
-    y = z[2 * m : 3 * m] + 1j * z[3 * m :]
-    target = real_lift(x) - real_lift(y)
-    return WitnessPair(x, y, target, 0.0), stats
+    # zero the residual eigenvalues and split the rest, at |x|^2 + |y|^2 = 2
+    w, U = np.linalg.eigh(np.tensordot(cs[hits[0]], H, 1))
+    kept = np.where(_kernels.residual_mask(w), 0.0, w)
+    kept *= 2.0 / np.sum(np.abs(kept))
+    target = (U * kept) @ U.T
+    return _spectral_pair(kept, U, (target + target.T) / 2.0), stats
 
 
 def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | None:
     """Randomized multistart search for a measurement-equal distinct pair.
 
-    Minimizes the squared measurement gap plus a quadratic penalty keeping
-    the pair's lift distance at least 0.1, over the joint sphere
-    |x|^2 + |y|^2 = 2 (witness pairs generally have |x| != |y|; only joint
-    scaling is quotiented out).  Returns a pair only when the gap objective
-    falls below 1e-12 with the distance bound met; absence of a pair is
-    never a certificate.  Deterministic in (budget, seed): restart i draws
-    its start from the (seed, i) stream.  Returns None without running a
-    restart when the lift kernel proves that no pair exists.
+    Each restart runs Gauss-Newton on the unit sphere of the lift kernel
+    toward a matrix with at most two eigenvalues of each sign, which the
+    spectral split realizes by a pair at |x|^2 + |y|^2 = 2.  Returns a pair
+    only when its spectral residual and squared measurement gap are at most
+    1e-12 and its lift distance at least 0.1; absence of a pair is never a
+    certificate.  Deterministic in (budget, seed): restart i draws its start
+    from the (seed, i) stream.  Returns None without running a restart when
+    the lift kernel proves that no pair exists.
     """
     frame = _require_real_frame(frame, "falsify_search")
-    if budget < 1:
-        raise ValidationError("budget must be at least 1")
-    if _decide(frame).verdict == "CertifiedCPR":
+    budget = _check_budget(budget, 1)
+    cert, basis = _decide(frame)
+    if cert.verdict == "CertifiedCPR":
         return None
-    pair, _ = _search_with_stats(frame, budget, seed)
+    pair, _ = _search_with_stats(frame, basis, budget, seed)
     return pair
 
 
 def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     """Decide conjugate retrievability of a real frame.
 
-    ``budget`` > 0 lets the open M >= 4 cases run falsify_search; a found
-    pair upgrades the verdict to NotCPR (SearchWitness), an exhausted budget
-    reports Undecided with the trial statistics.
+    ``budget`` is an integer >= 0; above 0 it lets the open M >= 4 cases run
+    falsify_search's search.  A found pair upgrades the verdict to NotCPR
+    (SearchWitness), an exhausted budget reports Undecided with the trial
+    statistics.
     """
     frame = _require_real_frame(frame, "certify")
+    budget = _check_budget(budget, 0)
     m, n = frame.m, frame.n
-    cert = _decide(frame)
+    cert, basis = _decide(frame)
 
     if m >= 2 and n <= 2 * m - 2:
         # Both halves of this split have < m vectors, so neither spans.
         pair, trials = cert.witness, None
         if m >= 4 and budget > 0:
-            pair, trials = _search_with_stats(frame, budget, seed)
+            pair, trials = _search_with_stats(frame, basis, budget, seed)
         return replace(
             cert,
             verdict="NotCPR",
@@ -360,9 +377,9 @@ def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
         return replace(cert, violating_subset=_m2_violating_subset(frame.matrix))
     if cert.verdict != "Undecided":
         return cert
-    if budget <= 0:
+    if budget == 0:
         return replace(cert, trials={"restarts": 0, "seed": int(seed)})
-    pair, trials = _search_with_stats(frame, budget, seed)
+    pair, trials = _search_with_stats(frame, basis, budget, seed)
     if pair is not None:
         return replace(
             cert, verdict="NotCPR", method="SearchWitness", witness=pair, trials=trials

@@ -383,6 +383,16 @@ def load_witness(path):
     )
 
 
+_TRIAL_FIELDS = {"restarts": _size, "seed": _size, "best_gap": _number, "best_distance": _number}
+
+
+def _trials(val, name: str) -> dict:
+    """Search statistics: ``restarts`` and ``seed``, maybe the best restart's gap and distance."""
+    if not isinstance(val, dict) or not {"restarts", "seed"} <= val.keys() <= _TRIAL_FIELDS.keys():
+        raise FileFormatError(f"field '{name}' must be an object of {list(_TRIAL_FIELDS)}")
+    return {key: _TRIAL_FIELDS[key](v, f"{name}.{key}") for key, v in val.items()}
+
+
 def save_certificate(cert, path, witness_file=None) -> None:
     _dump_json(certificate_doc(cert, witness_file), path)
 
@@ -402,9 +412,12 @@ def load_certificate(path):
         method=method,
         det_value=_optional(doc, "det_value", _number),
         kernel_dim=_optional(doc, "kernel_dim", _size),
-        trials=doc.get("trials"),
+        trials=_optional(doc, "trials", _trials),
         violating_subset=_optional(
             doc, "violating_subset", lambda val, key: tuple(_vector(val, key, _size))
         ),
     )
-    return cert, doc.get("witness_file")
+    witness_file = doc.get("witness_file")
+    if not isinstance(witness_file, (str, type(None))):
+        raise FileFormatError("field 'witness_file' must be a string or null")
+    return cert, witness_file

@@ -146,8 +146,7 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
             "rank-<=2 PSD matrices"
         )
     if m > 3:
-        neg = slice(m - nneg, m)
-        return _pair(_split(w[:npos], U[:, :npos]), _split(-w[neg], U[:, neg]), H)
+        return _spectral_pair(np.where(np.abs(w) > zero, w, 0.0), U, H)
     if m == 2:
         base = witness_diag_m2(w[0], -w[1])
     elif npos == 2:
@@ -161,9 +160,14 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
     return _pair(U @ base.x, U @ base.y, H)
 
 
-def _split(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """z = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over one or two eigenpairs, so Re(zz*) = sum l_k u_k u_k^T."""
-    return vecs @ (np.sqrt(lam) * _QUARTER_TURNS[: lam.shape[0]])
+def _spectral_pair(w: np.ndarray, U: np.ndarray, target) -> WitnessPair:
+    """The spectral split: x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the positive
+    eigenpairs (w, U), y the same over the negative ones (at most two each)."""
+    x, y = (
+        U[:, sel] @ (np.sqrt(np.abs(w[sel])) * _QUARTER_TURNS[: np.count_nonzero(sel)])
+        for sel in (w > 0.0, w < 0.0)
+    )
+    return _pair(x, y, target)
 
 
 def cone_frame(n: int, angles=None) -> RealFrame:

@@ -28,6 +28,7 @@ from conjpr import (
     random_frame,
     rng_stream,
 )
+from conjpr.certify import _kernel_matrices
 from conjpr.errors import (
     NoKernelError,
     ValidationError,
@@ -51,6 +52,17 @@ def frame_on_cone(h, n, seed):
         phi = p + (-b + np.sqrt(disc)) / a * d
         cols.append(phi / np.linalg.norm(phi))
     return RealFrame(np.stack(cols, axis=1))
+
+
+def planted_difference(m, seed):
+    """Re(xx* - yy*) for a random pair: frames on its cone have the pair as a witness.
+
+    Search such a frame with a seed other than ``seed``: the search's restart
+    2 would start from this pair.
+    """
+    rng = rng_stream(seed, 2)
+    x, y = random_signal(rng, m), random_signal(rng, m)
+    return np.real(np.outer(x, x.conj()) - np.outer(y, y.conj()))
 
 
 def rotated_diag(eigs, seed):
@@ -213,6 +225,19 @@ class TestCertify:
         assert idle.verdict == "Undecided"
         assert idle.trials == {"restarts": 0, "seed": 0}
 
+    @pytest.mark.parametrize("seed", range(601, 607))
+    def test_planted_6x18_search_witness(self, seed):
+        # 4M-6 vectors on the cone of Re(xx* - yy*): kernel dimension 3, and
+        # the kernel holds the planted pair's matrix, so a pair exists
+        f = frame_on_cone(planted_difference(6, seed), 18, seed)
+        cert = certify(f, budget=64, seed=0)
+        assert cert.kernel_dim == 3
+        assert cert.verdict == "NotCPR"
+        assert cert.method == "SearchWitness"
+        verify_witness(f, cert.witness, gap_tol=1e-6, dist_floor=0.1)
+        x, y = cert.witness.x, cert.witness.y
+        assert np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2 == pytest.approx(2.0)
+
     @pytest.mark.parametrize(
         "eigs", [(2.0, 0.5, -1.0, -3.0), (1.5, 0.7, -0.4, -2.0, 0.0)]
     )
@@ -358,6 +383,21 @@ class TestFalsifySearch:
         with pytest.raises(ValidationError):
             falsify_search(FRAME_2X3, budget=0)
 
+    @pytest.mark.parametrize("budget", [0.5, 1.5, True, -1, "8", None])
+    def test_budget_must_be_an_integer(self, budget):
+        # one check serves both: certify takes 0 (no search), falsify_search 1
+        f = random_frame(4, 8, seed=4)
+        with pytest.raises(ValidationError, match="budget"):
+            certify(f, budget=budget)
+        with pytest.raises(ValidationError, match="budget"):
+            falsify_search(f, budget=budget)
+
+    def test_numpy_integer_budget(self):
+        f = random_frame(4, 8, seed=4)
+        cert = certify(f, budget=np.int64(8), seed=1)
+        assert cert.trials["restarts"] == 8 and type(cert.trials["restarts"]) is int
+        assert certify(f, budget=np.int64(0)).trials == {"restarts": 0, "seed": 0}
+
     def test_kernel_decided_frames_run_no_restart(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pair_search ran on a kernel-decided frame")
@@ -372,30 +412,55 @@ class TestFalsifySearch:
 
 
 class TestPairSearchKernel:
-    """Per-restart contract of ``_kernels.pair_search`` (delta 0.1, penalty 1e3)."""
+    """Per-restart contract of ``_kernels.pair_search``, the kernel-sphere search."""
 
     @staticmethod
     def run(starts, max_iter=100):
-        phi = random_frame(3, 5, seed=11).matrix
-        return _kernels.pair_search(phi, starts, 0.1, 1e3, max_iter)
+        # generic 6x18: kernel dimension 3, no pair, restarts stop at
+        # different iterations
+        f = random_frame(6, 18, seed=3)
+        H = _kernel_matrices(kernel_basis(omega_matrix(f)), 6)
+        return _kernels.pair_search(f.matrix, starts, 0.1, H, max_iter)
 
     def test_restart_independent_of_batch(self):
-        starts = rng_stream(503, 0).standard_normal((40, 12))
+        starts = rng_stream(503, 0).standard_normal((40, 3))
         full = self.run(starts)
         part = self.run(starts[7:19])
         for a, b in zip(full, part):
             assert np.array_equal(a[7:19], b)
 
     def test_stopped_restarts_stay_frozen(self):
-        starts = rng_stream(503, 1).standard_normal((40, 12))
-        short = self.run(starts, max_iter=100)
-        longer = self.run(starts, max_iter=150)
+        starts = rng_stream(503, 1).standard_normal((40, 3))
+        short = self.run(starts, max_iter=60)
+        longer = self.run(starts, max_iter=90)
         iters = short[4]
-        stopped = iters < 100
+        stopped = iters < 60
         assert stopped.any() and not stopped.all()
-        assert iters.min() >= 1 and longer[4].max() <= 150
+        assert iters.min() >= 1 and longer[4].max() <= 90
         for a, b in zip(short, longer):
             assert np.array_equal(a[stopped], b[stopped])
+
+    def test_kernel_matrices_frobenius_orthonormal(self):
+        f = random_frame(6, 16, seed=5)
+        H = _kernel_matrices(kernel_basis(omega_matrix(f)), 6)
+        assert H.shape == (5, 6, 6)
+        assert np.allclose(np.einsum("iab,jab->ij", H, H), np.eye(5), atol=1e-12)
+        assert np.array_equal(H, H.transpose(0, 2, 1))
+        assert np.max(np.abs(np.einsum("an,iab,bn->in", f.matrix, H, f.matrix))) < 1e-12
+
+    def test_same_seed_same_witness_bits(self):
+        f = frame_on_cone(planted_difference(6, seed=541), 14, seed=541)
+        first = falsify_search(f, budget=16, seed=2)
+        again = falsify_search(f, budget=16, seed=2)
+        assert first is not None
+        for a, b in zip(
+            (first.x, first.y, first.target), (again.x, again.y, again.target)
+        ):
+            assert np.array_equal(a, b)
+        cert = certify(f, budget=16, seed=2)
+        assert cert.method == "SearchWitness"
+        assert np.array_equal(cert.witness.x, first.x)
+        assert np.array_equal(cert.witness.y, first.y)
 
 
 class TestImGram:

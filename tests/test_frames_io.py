@@ -56,6 +56,18 @@ VALID_DOCS = {
             "violating_subset": [0, 1],
         },
     ),
+    "searched_certificate": (
+        frames_io.load_certificate,
+        {
+            "verdict": "NotCPR",
+            "method": "SearchWitness",
+            "det_value": None,
+            "kernel_dim": 3,
+            "witness_file": "cert.witness.json",
+            "trials": {"restarts": 64, "seed": 0, "best_gap": 1e-16, "best_distance": 1.2},
+            "violating_subset": None,
+        },
+    ),
 }
 
 
@@ -240,6 +252,18 @@ class TestRoundTrips:
         assert back == cert
         assert wfile is None
 
+    def test_search_trials_roundtrip(self, tmp_path):
+        # generic 6x18: the search runs and reports its statistics
+        cert = certify(random_frame(6, 18, seed=3), budget=8, seed=5)
+        assert cert.verdict == "Undecided" and set(cert.trials) == {
+            "restarts", "seed", "best_gap", "best_distance"
+        }
+        path = tmp_path / "c.json"
+        frames_io.save_certificate(cert, path, witness_file="c.witness.json")
+        back, wfile = frames_io.load_certificate(path)
+        assert back == cert
+        assert wfile == "c.witness.json"
+
     def test_matrix_roundtrip(self, tmp_path):
         h = np.diag([1.0, 1.0, -1.0])
         path = tmp_path / "h.json"
@@ -354,6 +378,20 @@ class TestErrors:
             ("certificate", ("kernel_dim",), True),
             ("certificate", ("violating_subset", 0), "a"),
             ("certificate", ("violating_subset",), 3),
+            ("searched_certificate", ("trials", "restarts"), -1),
+            ("searched_certificate", ("trials", "restarts"), 2.5),
+            ("searched_certificate", ("trials", "seed"), True),
+            ("searched_certificate", ("trials", "seed"), "0"),
+            ("searched_certificate", ("trials", "best_gap"), "x"),
+            ("searched_certificate", ("trials", "best_gap"), INF),
+            ("searched_certificate", ("trials", "best_distance"), True),
+            ("searched_certificate", ("trials", "best_distance"), [1.0]),
+            ("searched_certificate", ("trials", "hits"), 3),
+            ("searched_certificate", ("trials",), "x"),
+            ("searched_certificate", ("trials",), {"restarts": 64}),
+            ("searched_certificate", ("witness_file",), 3),
+            ("searched_certificate", ("witness_file",), True),
+            ("searched_certificate", ("witness_file",), ["cert.witness.json"]),
         ],
     )
     def test_corrupt_field_is_file_format_error(self, tmp_path, kind, where, bad):
