@@ -13,6 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .lift import _dim_from_lift, _half_indices, _symmetric
+from .witness import ZERO_EIG_TOL
+
+#: A restart hits when every residual eigenvalue of its unit K is at most
+#: ZERO_EIG_TOL; Gauss-Newton runs on below this until f < _DONE_F.
+_HIT_F = ZERO_EIG_TOL**2
+_DONE_F = 1e-22
+#: Every _STALL_EVERY iterations a restart above _HIT_F must have halved f.
+_STALL_EVERY = 10
 
 
 def residual_mask(w):
@@ -39,6 +47,15 @@ def pair_search(phi, starts, delta, H, max_iter):
     pair at |x|^2 + |y|^2 = 2 gives its squared measurement gap fmeas and lift
     distance d = 2 |kept|_2 / |kept|_1 >= 1: the caller's ``delta`` <= 1 needs
     no steering.  Returns (c, f, fmeas, d, iters) arrays over restarts.
+
+    A restart stops when f < 1e-22, when an accepted step is below 1e-13,
+    when its damping passes 1e10, or at a stall checkpoint: every 10
+    iterations, a restart whose f is above the hit tolerance ZERO_EIG_TOL**2
+    and has not halved since the last checkpoint sits at a nonzero minimum
+    (Gauss-Newton on a zero residual converges superlinearly) and stops.
+    Checkpoints fall on a restart's own iteration count, so its result does
+    not depend on the batch.  With k = 1 the tangent space is empty and the
+    starting evaluation is returned with iters = 0.
     """
     R, k = starts.shape
 
@@ -51,8 +68,9 @@ def pair_search(phi, starts, delta, H, max_iter):
     w, U, mask, f = spectrum(c)
     lam = np.full(R, 1e-3)
     iters = np.zeros(R, dtype=np.int64)
-    active = f >= 1e-16
-    for _ in range(max_iter):
+    active = (f >= _DONE_F) & (k > 1)
+    checkpoint = f.copy()
+    for it in range(1, max_iter + 1):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
@@ -77,8 +95,11 @@ def pair_search(phi, starts, delta, H, max_iter):
         lam[took] = np.maximum(lam[took] / 3.0, 1e-12)
         lam[live[~accept]] *= 4.0
         step = np.linalg.norm(p, axis=1)
-        done = np.where(accept, (fn < 1e-16) | (step < 1e-13), lam[live] > 1e10)
+        done = np.where(accept, (fn < _DONE_F) | (step < 1e-13), lam[live] > 1e10)
         active[live[done]] = False
+        if it % _STALL_EVERY == 0:
+            active &= (f <= checkpoint / 2.0) | (f <= _HIT_F)
+            checkpoint = f.copy()
     kept = np.where(mask, 0.0, w)
     scale = 2.0 / np.sum(np.abs(kept), axis=1)
     d = scale * np.linalg.norm(kept, axis=1)

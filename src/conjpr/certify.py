@@ -76,7 +76,9 @@ INERTIA_MARGIN = 1e-6
 #: Minimum lift-space separation a searched pair must exhibit.
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
-_SEARCH_F_TOL = 1e-12
+#: Bound on a hit's squared measurement gap; its spectral residual must be
+#: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2.
+_SEARCH_GAP_TOL = 1e-12
 
 _STRICT_SEED = 0x5C1C7  # fixed: strict_report is deterministic
 
@@ -307,7 +309,7 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
     cs, fs, fmeas, ds, _ = _kernels.pair_search(
         frame.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
     )
-    success = (fs <= _SEARCH_F_TOL) & (fmeas <= _SEARCH_F_TOL) & (ds >= SEARCH_DISTANCE)
+    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
     best = int(np.argmin(fs))
     stats = {
         "restarts": budget,
@@ -332,11 +334,15 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
     Each restart runs Gauss-Newton on the unit sphere of the lift kernel
     toward a matrix with at most two eigenvalues of each sign, which the
     spectral split realizes by a pair at |x|^2 + |y|^2 = 2.  Returns a pair
-    only when its spectral residual and squared measurement gap are at most
-    1e-12 and its lift distance at least 0.1; absence of a pair is never a
-    certificate.  Deterministic in (budget, seed): restart i draws its start
-    from the (seed, i) stream.  Returns None without running a restart when
-    the lift kernel proves that no pair exists.
+    only when every residual eigenvalue of the unit kernel matrix is at most
+    ZERO_EIG_TOL (spectral residual f <= ZERO_EIG_TOL**2), its squared
+    measurement gap at most 1e-12 and its lift distance at least 0.1;
+    absence of a pair is never a certificate.  A restart stops early once
+    its residual stalls above that tolerance (not halved in 10 iterations),
+    and a one-dimensional kernel runs no iteration: its sphere is two points.
+    Deterministic in (budget, seed): restart i draws its start from the
+    (seed, i) stream.  Returns None without running a restart when the lift
+    kernel proves that no pair exists.
     """
     frame = _require_real_frame(frame, "falsify_search")
     budget = _check_budget(budget, 1)

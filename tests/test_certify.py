@@ -276,10 +276,33 @@ class TestCertify:
         # one inside ZERO_EIG_TOL counts as zero and is realized
         clear = frame_on_cone(rotated_diag((1.0, 0.8, 1e-3, -1.2), seed=9), 9, seed=9)
         assert certify(clear).method == "KernelInertia"
-        zero = frame_on_cone(rotated_diag((1.0, 0.8, 1e-13, -1.2), seed=9), 9, seed=9)
-        cert = certify(zero)
-        assert cert.method == "KernelWitness"
-        verify_witness(zero, cert.witness, dist_floor=0.1)
+        for eps in (1e-11, 1e-13):
+            zero = frame_on_cone(rotated_diag((1.0, 0.8, eps, -1.2), seed=9), 9, seed=9)
+            cert = certify(zero, budget=8)
+            assert cert.method == "KernelWitness"
+            verify_witness(zero, cert.witness, dist_floor=0.1)
+
+    @pytest.mark.parametrize("eps", [3e-7, 1e-7, 1e-8, 1e-9])
+    def test_in_band_eigenvalue_search_finds_no_pair(self, eps):
+        # kernel inertia (3, 1) with the third eigenvalue inside the band: no
+        # exact pair exists, and a search hit needs every residual eigenvalue
+        # within ZERO_EIG_TOL, so a gap of eps is no witness
+        h = rotated_diag((1.0, 0.8, eps, -1.2), seed=9)
+        f = frame_on_cone(h, 9, seed=9)
+        cert = certify(f, budget=8)
+        assert cert.kernel_dim == 1
+        assert cert.verdict == "Undecided"
+        assert cert.method == "MonteCarlo"
+        assert set(cert.trials) == {"restarts", "seed", "best_gap", "best_distance"}
+        assert cert.trials["best_gap"] == pytest.approx(eps, rel=0.01, abs=0.0)
+        assert falsify_search(f, budget=8) is None
+        # a one-dimensional kernel's sphere is two points: no iteration runs
+        H = _kernel_matrices(kernel_basis(omega_matrix(f)), 4)
+        starts = rng_stream(3, 0).standard_normal((8, 1))
+        _, fs, _, _, iters = _kernels.pair_search(f.matrix, starts, 0.1, H, 100)
+        assert np.all(iters == 0)
+        residual = eps / np.linalg.norm(h)  # the in-band eigenvalue of the unit K
+        assert np.sqrt(fs) == pytest.approx(np.full(8, residual), rel=0.01, abs=0.0)
 
     def test_m2_violating_subset_matches_walk(self):
         rng = rng_stream(507, 0)
@@ -430,15 +453,26 @@ class TestPairSearchKernel:
             assert np.array_equal(a[7:19], b)
 
     def test_stopped_restarts_stay_frozen(self):
+        # the stall checkpoint at iteration 10 stops some restarts, the one at
+        # 20 stops the rest: at 15 both kinds are present
         starts = rng_stream(503, 1).standard_normal((40, 3))
-        short = self.run(starts, max_iter=60)
-        longer = self.run(starts, max_iter=90)
+        short = self.run(starts, max_iter=15)
+        longer = self.run(starts, max_iter=25)
         iters = short[4]
-        stopped = iters < 60
+        stopped = iters < 15
         assert stopped.any() and not stopped.all()
-        assert iters.min() >= 1 and longer[4].max() <= 90
+        assert iters.min() >= 1 and longer[4].max() <= 25
         for a, b in zip(short, longer):
             assert np.array_equal(a[stopped], b[stopped])
+
+    def test_stall_rule_bounds_generic_restarts(self):
+        # no pair exists on the generic fixture: every restart stalls at a
+        # nonzero minimum and stops at a checkpoint long before max_iter
+        # (test_planted_6x18_search_witness pins that hits are still found)
+        for stream in (0, 1):
+            _, f, _, _, iters = self.run(rng_stream(503, stream).standard_normal((40, 3)))
+            assert iters.max() <= 30
+            assert np.all(f > _kernels._HIT_F)
 
     def test_kernel_matrices_frobenius_orthonormal(self):
         f = random_frame(6, 16, seed=5)
