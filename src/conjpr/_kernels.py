@@ -5,7 +5,8 @@ Two kernels live here:
 * a multistart Gauss-Newton search over the unit sphere of the lift kernel
   for a matrix that a signal pair realizes, vectorized over all restarts;
 * the alternating projection between the measurement-consistent affine set
-  and the cone of PSD rank-<=2 lifts, run restart by restart.
+  and the cone of PSD rank-<=2 lifts, restart 0 alone and then the other
+  restarts in lockstep as one stack.
 """
 
 from __future__ import annotations
@@ -109,14 +110,57 @@ def pair_search(phi, starts, delta, H, max_iter):
 
 
 def rank2_psd_project(Q) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix of rank at most 2; exactly symmetric."""
+    """Nearest (Frobenius) PSD matrix of rank at most 2; exactly symmetric.
+
+    ``Q`` may stack matrices on leading axes (..., m, m); each is projected
+    with the same bits as on its own.
+    """
     w, V = np.linalg.eigh(Q)
-    factor = V[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0))
-    return factor @ factor.T
+    factor = V[..., -2:] * np.sqrt(np.maximum(w[..., -2:], 0.0))[..., None, :]
+    return factor @ np.swapaxes(factor, -1, -2)
+
+
+def _lockstep(omega, pinv, b, V, max_iter, goal):
+    """Alternating projection of a stack of starts V (restarts, L), in lockstep.
+
+    Each iteration steps every live restart onto the affine set
+    {v : omega v = b} through ``pinv``, then onto the PSD rank-<=2 cone with
+    one stacked eigh.  A restart converges when its residual |omega v - b|
+    reaches ``goal``; then every live restart above it stops (keeping its
+    start, residual inf and 0 iterations), and the ones below it run on.
+    Products are taken restart by restart, so a restart's iterates carry the
+    same bits in any stack.
+
+    Returns per-restart arrays (v, residual, iterations, converged).
+    """
+    m = _dim_from_lift(V.shape[1])
+    rows, cols = index = _half_indices(m)
+    out = V.copy()
+    res = np.full(V.shape[0], np.inf)
+    iters = np.zeros(V.shape[0], dtype=np.int64)
+    converged = np.zeros(V.shape[0], dtype=bool)
+    live, v, r = np.arange(V.shape[0]), out, res
+    gap = (omega @ v[..., None])[..., 0] - b
+    for it in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        v = v - (pinv @ gap[..., None])[..., 0]
+        v = rank2_psd_project(_symmetric(v, m, index))[..., rows, cols]
+        gap = (omega @ v[..., None])[..., 0] - b
+        # a dot product per restart: the bits of np.linalg.norm on each row
+        r = np.sqrt((gap[:, None, :] @ gap[..., None])[:, 0, 0])
+        hit = r <= goal
+        if np.count_nonzero(hit):
+            done = live[hit]
+            out[done], res[done], iters[done], converged[done] = v[hit], r[hit], it, True
+            keep = ~hit & (live < done[0])
+            live, v, gap, r = live[keep], v[keep], gap[keep], r[keep]
+    out[live], res[live], iters[live] = v, r, max_iter
+    return out, res, iters, converged
 
 
 def altproj(omega, pinv, b, v0s, max_iter, tol):
-    """Alternating projection from each start in turn.
+    """Alternating projection from the starts ``v0s`` (restarts, L).
 
     Each iteration steps onto the affine set {v : omega v = b} through
     ``pinv`` and then onto the PSD rank-<=2 cone.  The first restart whose
@@ -124,23 +168,24 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
     the lowest final residual (the lowest index on ties) is returned with
     ``max_iter`` iterations.
 
+    Restart 0 runs alone, since a clean problem converges there; if it
+    fails, restarts 1.. run together as one ``_lockstep`` stack.  The answer
+    is the one that running the restarts one by one in order gives.
+
     Returns (v, residual, iterations, restart_index, converged).
     """
     omega = np.asarray(omega, dtype=np.float64)
     pinv = np.asarray(pinv, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m = _dim_from_lift(omega.shape[1])
-    index = _half_indices(m)
-    floor = np.linalg.norm(b) or 1.0
-    best = (np.zeros(omega.shape[1]), np.inf, 0, -1)
-    for r, v in enumerate(np.asarray(v0s, dtype=np.float64)):
-        res = np.inf
-        for it in range(max_iter):
-            v = v - pinv @ (omega @ v - b)
-            v = rank2_psd_project(_symmetric(v, m, index))[index]
-            res = np.linalg.norm(omega @ v - b)
-            if res <= tol * floor:
-                return v, res, it + 1, r, True
-        if res < best[1]:
-            best = (v, res, max_iter, r)
-    return (*best, False)
+    v0s = np.asarray(v0s, dtype=np.float64)
+    goal = tol * (np.linalg.norm(b) or 1.0)
+    runs = [_lockstep(omega, pinv, b, v0s[:1], max_iter, goal)]
+    if not runs[0][3][0] and v0s.shape[0] > 1:
+        runs.append(_lockstep(omega, pinv, b, v0s[1:], max_iter, goal))
+    V, res, iters, converged = (np.concatenate(parts) for parts in zip(*runs))
+    hits = np.flatnonzero(converged)
+    if hits.size:
+        r = int(hits[0])
+        return V[r], res[r], int(iters[r]), r, True
+    r = int(np.argmin(res))
+    return V[r], res[r], max_iter, r, False

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     WrongDimensionError,
 )
-from .frames_io import ComplexFrame, RealFrame, _restart_starts, rng_stream
+from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts, rng_stream
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
 from .witness import ZERO_EIG_TOL, WitnessPair, _spectral_pair, witness_general
 from . import _kernels
@@ -288,13 +288,6 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     )
 
 
-def _check_budget(budget, least: int) -> int:
-    """The one check of a search budget: an integer (never a bool) >= ``least``."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < least:
-        raise ValidationError(f"budget must be an integer of at least {least}, got {budget!r}")
-    return int(budget)
-
-
 def _kernel_matrices(basis: list, m: int) -> np.ndarray:
     """Frobenius-orthonormal kernel matrices (k, m, m), by QR weighing off-diagonals sqrt(2)."""
     weight = np.full(lift_dim(m), np.sqrt(2.0))
@@ -313,7 +306,7 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
     best = int(np.argmin(fs))
     stats = {
         "restarts": budget,
-        "seed": int(seed),
+        "seed": seed,
         "best_gap": float(np.sqrt(fmeas[best])),
         "best_distance": float(ds[best]),
     }
@@ -340,12 +333,13 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
     absence of a pair is never a certificate.  A restart stops early once
     its residual stalls above that tolerance (not halved in 10 iterations),
     and a one-dimensional kernel runs no iteration: its sphere is two points.
-    Deterministic in (budget, seed): restart i draws its start from the
-    (seed, i) stream.  Returns None without running a restart when the lift
-    kernel proves that no pair exists.
+    Deterministic in the integers budget >= 1 and seed >= 0: restart i draws
+    its start from the (seed, i) stream.  Returns None without running a
+    restart when the lift kernel proves that no pair exists.
     """
     frame = _require_real_frame(frame, "falsify_search")
-    budget = _check_budget(budget, 1)
+    budget = _check_int(budget, "budget", 1)
+    seed = _check_int(seed, "seed", 0)
     cert, basis = _decide(frame)
     if cert.verdict == "CertifiedCPR":
         return None
@@ -356,13 +350,14 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
 def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     """Decide conjugate retrievability of a real frame.
 
-    ``budget`` is an integer >= 0; above 0 it lets the open M >= 4 cases run
-    falsify_search's search.  A found pair upgrades the verdict to NotCPR
-    (SearchWitness), an exhausted budget reports Undecided with the trial
-    statistics.
+    ``budget`` and ``seed`` are integers >= 0; a budget above 0 lets the open
+    M >= 4 cases run falsify_search's search.  A found pair upgrades the
+    verdict to NotCPR (SearchWitness), an exhausted budget reports Undecided
+    with the trial statistics.
     """
     frame = _require_real_frame(frame, "certify")
-    budget = _check_budget(budget, 0)
+    budget = _check_int(budget, "budget", 0)
+    seed = _check_int(seed, "seed", 0)
     m, n = frame.m, frame.n
     cert, basis = _decide(frame)
 
@@ -384,7 +379,7 @@ def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     if cert.verdict != "Undecided":
         return cert
     if budget == 0:
-        return replace(cert, trials={"restarts": 0, "seed": int(seed)})
+        return replace(cert, trials={"restarts": 0, "seed": seed})
     pair, trials = _search_with_stats(frame, basis, budget, seed)
     if pair is not None:
         return replace(

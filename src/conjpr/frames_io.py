@@ -32,10 +32,20 @@ logger = logging.getLogger(__name__)
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _check_int(value, name: str, least: int) -> int:
+    """The one check of an integer argument: an int or numpy integer, never a bool, >= ``least``.
+
+    Seeds, search budgets, restart and iteration counts all pass through it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Deterministic PCG64 generator for (seed, stream-index)."""
+    """Deterministic PCG64 generator for (seed, stream-index); the seed is an integer >= 0."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+        np.random.SeedSequence(entropy=_check_int(seed, "seed", 0), spawn_key=(stream,))
     )
 
 

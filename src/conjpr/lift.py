@@ -47,10 +47,14 @@ def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetric(v: np.ndarray, m: int, index) -> np.ndarray:
-    """The symmetric m x m matrix Q with Q[index] = v, for index = _half_indices(m)."""
-    Q = np.empty((m, m))
-    Q[index] = v
-    Q[index[::-1]] = v
+    """Symmetric m x m matrices Q with Q[..., rows, cols] = v, for index = _half_indices(m).
+
+    ``v`` may stack lift vectors on leading axes; Q stacks the matrices alike.
+    """
+    rows, cols = index
+    Q = np.empty(v.shape[:-1] + (m, m))
+    Q[..., rows, cols] = v
+    Q[..., cols, rows] = v
     return Q
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import canonical_rep, real_lift
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
-from .frames_io import Measurement, _restart_starts
+from .frames_io import Measurement, _check_int, _restart_starts
 from .lift import devectorize, measure, omega_matrix, vectorize
 from . import _kernels
 from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
@@ -164,10 +164,19 @@ def reconstruct_altproj(
     first projected onto the attainable column space) and the PSD
     rank-<=2 cone.  Restart i starts from the (seed, i) stream; the first
     restart reaching relative residual ``tol`` wins, otherwise the best
-    residual is returned with ``converged=False``.
+    residual is returned with ``converged=False``.  Restart 0 runs alone and
+    the others, if it fails, as one lockstep batch; the answer is the one
+    restart-by-restart order gives.
+
+    ``max_iter`` and ``restarts`` are integers >= 1, ``seed`` an integer
+    >= 0 and ``tol`` a finite number >= 0.
     """
-    if restarts < 1 or max_iter < 1:
-        raise ValidationError("restarts and max_iter must be at least 1")
+    max_iter = _check_int(max_iter, "max_iter", 1)
+    restarts = _check_int(restarts, "restarts", 1)
+    seed = _check_int(seed, "seed", 0)
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and 0.0 <= tol < np.inf):
+        raise ValidationError(f"tol must be a finite number of at least 0, got {tol!r}")
     bvals = _values(b)
     om = omega_matrix(frame)
     n, L = om.shape

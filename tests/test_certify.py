@@ -10,7 +10,7 @@ from conftest import (
 )
 
 import conjpr
-from conjpr import _kernels
+from conjpr import _kernels, frames_io
 from conjpr import (
     ComplexFrame,
     RealFrame,
@@ -420,6 +420,28 @@ class TestFalsifySearch:
         cert = certify(f, budget=np.int64(8), seed=1)
         assert cert.trials["restarts"] == 8 and type(cert.trials["restarts"]) is int
         assert certify(f, budget=np.int64(0)).trials == {"restarts": 0, "seed": 0}
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # checked at entry, so an Undecided certificate at budget 0 never
+        # records a seed that load_certificate would refuse
+        undecided = frame_on_cone(rotated_diag((1.0, 0.8, 1e-8, -1.2), seed=9), 9, seed=9)
+        for frame in (undecided, random_frame(4, 8, seed=4)):
+            with pytest.raises(ValidationError, match="seed"):
+                certify(frame, seed=seed)
+            with pytest.raises(ValidationError, match="seed"):
+                falsify_search(frame, budget=4, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            rng_stream(seed, 0)
+
+    def test_numpy_integer_seed(self, tmp_path):
+        undecided = frame_on_cone(rotated_diag((1.0, 0.8, 1e-8, -1.2), seed=9), 9, seed=9)
+        cert = certify(undecided, seed=np.int64(7))
+        assert cert.trials == {"restarts": 0, "seed": 7} and type(cert.trials["seed"]) is int
+        frames_io.save_certificate(cert, tmp_path / "c.json")
+        assert frames_io.load_certificate(tmp_path / "c.json")[0].trials == cert.trials
+        assert np.array_equal(rng_stream(np.int64(7), 1).standard_normal(3),
+                              rng_stream(7, 1).standard_normal(3))
 
     def test_kernel_decided_frames_run_no_restart(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -262,6 +262,19 @@ class TestFalsify:
         assert "budget" in err
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize("command", ["gen", "certify", "falsify"])
+    def test_negative_seed_exit2(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        frames_io.save_frame(random_frame(4, 8, seed=4), path)
+        argv = [str(path)]
+        if command == "gen":
+            argv = ["--m", "4", "--n", "8", "-o", str(tmp_path / "g.json")]
+        code, _, err = run(capsys, command, *argv, "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error [Validation]: seed must be")
+
+
 class TestWitnessCommand:
     def test_diag(self, tmp_path, capsys):
         out = tmp_path / "pair.json"

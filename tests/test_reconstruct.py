@@ -226,6 +226,75 @@ class TestReconstructAltproj:
         assert restart == int(np.argmin(residuals))
         assert res == min(residuals)
 
+    def test_lockstep_lower_restart_converging_later_wins(self):
+        # restart 0 fails, so 1.. run as one stack; restart 1 converges last,
+        # at max_iter, and still wins over every higher restart that converged
+        # sooner and stopped the ones above it
+        f = random_frame(5, 14, seed=30)
+        om = omega_matrix(f)
+        pinv = np.linalg.pinv(om)
+        b = measure(f, random_signal(rng_stream(620, 0), 5)).values
+        starts = rng_stream(617, 0).standard_normal((8, lift_dim(5)))
+        counts = [_kernels.altproj(om, pinv, b, v0[None], 1000, 1e-10)[2] for v0 in starts]
+        slowest = int(np.argmax(counts))
+        rest = sorted(set(range(8)) - {slowest}, key=lambda r: -counts[r])
+        v0s = starts[[slowest, *rest]]
+        max_iter = counts[rest[0]]
+        assert counts[slowest] > max_iter > counts[rest[1]]
+        alone = [_kernels.altproj(om, pinv, b, v0[None], max_iter, 1e-10) for v0 in v0s]
+        assert [run[4] for run in alone] == [False] + [True] * 7
+        v, res, iters, restart, converged = _kernels.altproj(om, pinv, b, v0s, max_iter, 1e-10)
+        assert (restart, iters, converged) == (1, max_iter, True)
+        assert np.array_equal(v, alone[1][0]) and res == alone[1][1]
+
+    def test_lockstep_rows_match_their_runs_alone(self):
+        f = random_frame(5, 14, seed=29)
+        om = omega_matrix(f)
+        pinv = np.linalg.pinv(om)
+        rng = rng_stream(621, 0)
+        b = measure(f, random_signal(rng, 5)).values
+        b = b + 1e-3 * np.mean(b) * rng.standard_normal(14)
+        v0s = rng_stream(622, 0).standard_normal((16, lift_dim(5)))
+        goal = 1e-10 * np.linalg.norm(b)
+        V, res, iters, converged = _kernels._lockstep(om, pinv, b, v0s, 40, goal)
+        assert not converged.any() and np.all(iters == 40)
+        for r in range(16):
+            v1, res1, _, _ = _kernels._lockstep(om, pinv, b, v0s[r : r + 1], 40, goal)
+            assert np.array_equal(V[r], v1[0]) and res[r] == res1[0]
+        v, best, iters, restart, converged = _kernels.altproj(om, pinv, b, v0s, 40, 1e-10)
+        assert (iters, restart, converged) == (40, int(np.argmin(res)), False)
+        assert best == res.min() and np.array_equal(v, V[restart])
+
+    def test_stacked_rank2_projection_matches_each(self):
+        A = rng_stream(623, 0).standard_normal((3, 4, 6, 6))
+        Q = A + np.swapaxes(A, -1, -2)
+        P = rank2_psd_project(Q)
+        assert P.shape == Q.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(P[idx], rank2_psd_project(Q[idx]))
+            assert np.array_equal(P[idx], P[idx].T)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 2.5}, {"restarts": True}, {"restarts": "3"}, {"restarts": 0},
+        {"max_iter": True}, {"max_iter": 0}, {"tol": float("nan")}, {"tol": -1},
+        {"tol": float("inf")}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
+    ])
+    def test_argument_validation(self, kwargs):
+        f = random_frame(5, 14, seed=28)
+        b = measure(f, random_signal(rng_stream(609, 0), 5))
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            reconstruct_altproj(f, b, **kwargs)
+
+    def test_numpy_integer_arguments(self):
+        f = random_frame(5, 14, seed=28)
+        b = measure(f, random_signal(rng_stream(609, 0), 5))
+        plain = reconstruct_altproj(f, b, max_iter=300, restarts=4, seed=3)
+        numpy = reconstruct_altproj(
+            f, b, max_iter=np.int64(300), restarts=np.int64(4), seed=np.int64(3)
+        )
+        assert plain.converged and np.array_equal(plain.estimate, numpy.estimate)
+        assert plain.iterations == numpy.iterations
+
     def test_monotone_affine_distance(self):
         from conjpr.lift import devectorize
 
