@@ -8,13 +8,14 @@ each is realized by a pair (see ``witness``).  So a frame is retrievable
 exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 
 One ladder, built on Omega and its SVD computed once per call, serves
-``certify``, ``falsify_exact`` and ``falsify_search``:
+``certify``, ``falsify_exact`` and ``falsify_search`` (which returns
+``certify``'s pair):
 
 * kernel dimension 0: retrievable at every M (Det2/Det3 name the square
   M = 2, 3 cases, KernelInjective the rest);
 * M <= 3 with a kernel: not retrievable; a spanning frame forces every
-  kernel matrix to be indefinite, hence realizable, and the pair is built
-  in closed form (KernelWitness);
+  kernel matrix to be indefinite, hence realizable, and the spectral split
+  builds the pair (KernelWitness);
 * M >= 4 with a one-dimensional kernel: the inertia of its matrix decides.
   Three eigenvalues of one sign clear of round-off certify retrievability
   (KernelInertia); at most two of each sign give an exact pair by the
@@ -127,16 +128,13 @@ def _spans(mat: np.ndarray, cols, m: int) -> bool:
     return numeric_rank(mat[:, cols]) == m
 
 
-def complement_property(frame, field: str = "auto", cap: int = 24):
+def complement_property(frame, cap: int = 24):
     """Exhaustively check that one side of every index split spans.
 
-    Returns (True, None) or (False, violating_indices).  For real-valued
-    frames the real and complex verdicts coincide (a real matrix has the
-    same rank over both fields), so ``field`` only validates intent.
+    Returns (True, None) or (False, violating_indices).  A real matrix has
+    the same rank over R and C, so one walk answers for both fields.
     Refuses N > cap outright: the check walks all 2^(N-1) splits.
     """
-    if field not in ("auto", "real", "complex"):
-        raise ValidationError("field must be auto|real|complex")
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
     m, n = mat.shape
     if n > cap:
@@ -144,8 +142,6 @@ def complement_property(frame, field: str = "auto", cap: int = 24):
             f"complement property check over {n} vectors needs 2^{n - 1} splits; "
             f"refusing beyond cap={cap}"
         )
-    if field == "real" and np.iscomplexobj(mat):
-        raise ValidationError("field='real' but the frame has complex entries")
     # Each unordered split once: enumerate subsets containing index 0.
     rest = list(range(1, n))
     for bits in range(1 << (n - 1)):
@@ -322,42 +318,36 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
 
 
 def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | None:
-    """Randomized multistart search for a measurement-equal distinct pair.
+    """Measurement-equal distinct pair from ``certify``'s ladder, or None.
 
-    Each restart runs Gauss-Newton on the unit sphere of the lift kernel
-    toward a matrix with at most two eigenvalues of each sign, which the
-    spectral split realizes by a pair at |x|^2 + |y|^2 = 2.  Returns a pair
-    only when every residual eigenvalue of the unit kernel matrix is at most
-    ZERO_EIG_TOL (spectral residual f <= ZERO_EIG_TOL**2), its squared
-    measurement gap at most 1e-12 and its lift distance at least 0.1;
-    absence of a pair is never a certificate.  A restart stops early once
-    its residual stalls above that tolerance (not halved in 10 iterations),
-    and a one-dimensional kernel runs no iteration: its sphere is two points.
-    Deterministic in the integers budget >= 1 and seed >= 0: restart i draws
-    its start from the (seed, i) stream.  Returns None without running a
-    restart when the lift kernel proves that no pair exists.
+    The pair is the one ``certify(frame, budget=budget, seed=seed)``
+    attaches: exact wherever the lift kernel decides, found by the
+    kernel-sphere search (``budget`` restarts, restart i drawing its start
+    from the (seed, i) stream) where the question is open.  None means no
+    pair exists (the kernel proves it) or none was found; absence of a pair
+    from a search is never a certificate.  budget >= 1 and seed >= 0 are
+    integers.
     """
     frame = _require_real_frame(frame, "falsify_search")
     budget = _check_int(budget, "budget", 1)
-    seed = _check_int(seed, "seed", 0)
-    cert, basis = _decide(frame)
-    if cert.verdict == "CertifiedCPR":
-        return None
-    pair, _ = _search_with_stats(frame, basis, budget, seed)
-    return pair
+    return _certify(frame, budget, _check_int(seed, "seed", 0)).witness
 
 
 def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     """Decide conjugate retrievability of a real frame.
 
     ``budget`` and ``seed`` are integers >= 0; a budget above 0 lets the open
-    M >= 4 cases run falsify_search's search.  A found pair upgrades the
+    M >= 4 cases run the kernel-sphere search.  A found pair upgrades the
     verdict to NotCPR (SearchWitness), an exhausted budget reports Undecided
     with the trial statistics.
     """
     frame = _require_real_frame(frame, "certify")
     budget = _check_int(budget, "budget", 0)
-    seed = _check_int(seed, "seed", 0)
+    return _certify(frame, budget, _check_int(seed, "seed", 0))
+
+
+def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
+    """The ladder behind ``certify`` and ``falsify_search``, on checked arguments."""
     m, n = frame.m, frame.n
     cert, basis = _decide(frame)
 
@@ -456,11 +446,12 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
     identically, witnessed by (1, i, 0, ..., 0).  For complex frames the
     question reduces to whether the nullspace of the pairwise imaginary
     Gram matrix contains a vector realizable as Im(y_j conj(y_k)) for some
-    non-phased-real y; such a matrix is skew of rank <= 2.  For M <= 3 every
-    nonzero nullspace vector qualifies; for M >= 4 a realizable point is
-    sought by alternating projection between the nullspace and the rank-2
-    skew cone (``budget`` restarts; one projection when the nullspace is a
-    line), with failure reported as Undecided.
+    non-phased-real y; such a matrix is skew of rank <= 2.  A realizable
+    point is sought by alternating projection between the nullspace and the
+    rank-2 skew cone (``budget`` restarts; one projection when the nullspace
+    is a line), with failure reported as Undecided.  For M <= 3 every nonzero
+    nullspace vector is realizable, so each restart realizes at its first
+    projection.
     """
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
     m, n = mat.shape
@@ -486,25 +477,11 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
 
     cmat = np.asarray(mat, dtype=np.complex128)
 
-    if m == 2:
-        # the pair space is one-dimensional: any nonzero s is realizable
-        y = np.array([1.0, 1.0j])
-        if _conjugation_gap_ok(cmat, y, tol):
-            return StrictReport("StrictlyCPR", witness_y=y, im_gram_nullity=nullity)
-        return StrictReport("Undecided", None, nullity)
-
-    if m == 3:
-        # every nonzero 3x3 skew matrix has rank exactly 2
-        a, b, _ = _factor_rank2_skew(_skew_from_pairs(null_vecs[0], m))
-        y = a + 1j * b
-        if not is_phased_real(y) and _conjugation_gap_ok(cmat, y, tol):
-            return StrictReport("StrictlyCPR", witness_y=y, im_gram_nullity=nullity)
-        return StrictReport("Undecided", None, nullity)
-
-    # m >= 4: search null(G) for a rank-2 realizable point by alternating
-    # projection between the nullspace and the rank-2 skew cone.  A null
-    # line is its own projection: every restart starts on it up to sign and
-    # never leaves it, so restart 0's first projection decides.
+    # search null(G) for a rank-2 realizable point by alternating projection
+    # between the nullspace and the rank-2 skew cone.  A null line is its own
+    # projection: every restart starts on it up to sign and never leaves it,
+    # so restart 0's first projection decides.  Every nonzero skew matrix of
+    # size <= 3 has rank 2, so at M <= 3 every first projection realizes.
     basis = np.vstack(null_vecs)  # (k, pair_dim), orthonormal rows
     restarts, max_iter = (1, 1) if nullity == 1 else (budget, 300)
     for restart in range(restarts):

@@ -165,8 +165,7 @@ def _cmd_falsify(args) -> int:
     frame = frames_io.load_frame(args.frame)
     if isinstance(frame, ComplexFrame):
         raise ValidationError("falsify handles real frames only")
-    if args.budget < 1:
-        raise ValidationError("budget must be at least 1")
+    frames_io._check_int(args.budget, "budget", 1)
     # the certify ladder: an exact answer from the lift kernel where it
     # decides, the multistart search where it does not
     cert = certify(frame, budget=args.budget, seed=args.seed)

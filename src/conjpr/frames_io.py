@@ -133,14 +133,12 @@ class Measurement:
         return self.values.shape[0]
 
 
-def random_frame(m: int, n: int, seed: int = 0, distribution: str = "gaussian") -> RealFrame:
+def random_frame(m: int, n: int, seed: int = 0) -> RealFrame:
     """Real frame with i.i.d. standard normal entries, deterministic in seed.
 
     Draws come from ``rng_stream(seed, 0)``; in the measure-zero event the
     draw is rank deficient it is redrawn from the same stream (count logged).
     """
-    if distribution != "gaussian":
-        raise ValidationError(f"unknown distribution {distribution!r}")
     if n < m:
         raise ValidationError(f"need n >= m, got m={m}, n={n}")
     rng = rng_stream(seed, 0)

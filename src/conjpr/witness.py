@@ -5,23 +5,21 @@ at most 2, so a realizable target H has at most two positive and at most
 two negative eigenvalues; every such target with both signs present is
 realized here.
 
-In dimensions 2 and 3 the paper's closed forms are used.  In the eigenbasis
-the problem reduces to a diagonal target diag(a, b, -c) with a, c > 0,
-b >= 0, solved by putting a quarter turn between the first two coordinates
-of both vectors so the (1,2) and (1,3) real cross terms vanish, then
-matching moduli through
+``witness_general`` uses the spectral split at every dimension: with
+eigenpairs (l_k, u_k) of H, x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the
+positive ones and y the same over the negative ones, so Re(xx*) - Re(yy*) = H
+and |x|^2 + |y|^2 = sum |l_k|, whatever the spread of the eigenvalues.
+
+The paper's closed forms for dimensions 2 and 3 stay available as
+``witness_diag_m2``, ``witness_diag_m3`` and ``witness_diag_m3_degenerate``.
+They realize a diagonal target diag(a, b, -c) with a, c > 0, b >= 0 by
+putting a quarter turn between the first two coordinates of both vectors so
+the (1,2) and (1,3) real cross terms vanish, then matching moduli through
 
     |y1| / sqrt(a + |y1|^2) = |y2| / sqrt(b + |y2|^2) = |x3| / sqrt(c + |x3|^2),
 
-with |x1| = sqrt(a + |y1|^2), |x2| = sqrt(b + |y2|^2), |y3| = sqrt(c + |x3|^2).
-The free modulus |y1| is fixed at 1, which keeps conditioning mild over
-several orders of magnitude of (a, b, c).  An orthogonal change of basis U
-then transports diagonal pairs to general targets via
-Re((Ux)(Ux)* - (Uy)(Uy)*) = U Re(xx* - yy*) U^T.
-
-In dimension 4 and above the spectral split is used: with eigenpairs
-(l_k, u_k) of H, x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the positive ones
-and y the same over the negative ones, so Re(xx*) - Re(yy*) = H.
+with |x1| = sqrt(a + |y1|^2), |x2| = sqrt(b + |y2|^2), |y3| = sqrt(c + |x3|^2)
+and the free modulus |y1| fixed at 1.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .frames_io import RealFrame
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: Eigenvalues within this relative band of zero route to the degenerate case.
+#: Eigenvalues within this fraction of the target's Frobenius norm count as zero.
 ZERO_EIG_TOL = 1e-10
 
 _QUARTER_TURNS = np.array([1.0, 1.0j])
@@ -117,8 +115,8 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
     Eigenvalues within tol * |H|_F of zero count as zero.  Raises
     DefiniteInputError when H has eigenvalues of only one sign (refused: the
     lift kernel of a spanning frame never holds such a matrix) or three or
-    more of one sign (no pair realizes it).  Targets of size 2 and 3 use the closed forms, larger
-    ones the spectral split.
+    more of one sign (no pair realizes it).  The pair is the spectral split
+    at every size, with the zeroed eigenvalues left out.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -127,12 +125,10 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
         raise ValidationError("target has non-finite entries")
     if not np.array_equal(H, H.T):
         raise ValidationError("target must be exactly symmetric")
-    m = H.shape[0]
     scale = np.linalg.norm(H)
     if scale == 0.0:
         raise DefiniteInputError("zero target has no non-equivalent realization")
     w, U = np.linalg.eigh(H)
-    w, U = w[::-1], U[:, ::-1]  # descending
     zero = tol * scale
     npos = int(np.sum(w > zero))
     nneg = int(np.sum(w < -zero))
@@ -145,19 +141,7 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
             f"target has inertia ({npos}, {nneg}): not a difference of two "
             "rank-<=2 PSD matrices"
         )
-    if m > 3:
-        return _spectral_pair(np.where(np.abs(w) > zero, w, 0.0), U, H)
-    if m == 2:
-        base = witness_diag_m2(w[0], -w[1])
-    elif npos == 2:
-        base = witness_diag_m3(w[0], w[1], -w[2])
-    elif nneg == 2:
-        # mirror: realize -H (two positive eigenvalues) and swap the pair
-        mirrored = witness_general(-H, tol)
-        return _pair(mirrored.y, mirrored.x, H)
-    else:
-        base = witness_diag_m3_degenerate(w[0], -w[2])
-    return _pair(U @ base.x, U @ base.y, H)
+    return _spectral_pair(np.where(np.abs(w) > zero, w, 0.0), U, H)
 
 
 def _spectral_pair(w: np.ndarray, U: np.ndarray, target) -> WitnessPair:

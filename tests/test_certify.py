@@ -103,17 +103,6 @@ class TestComplementProperty:
         with pytest.raises(ValidationError, match="cap"):
             complement_property(f)
 
-    def test_real_complex_verdicts_coincide(self):
-        for seed in range(20):
-            f = random_frame(2, 4, seed=seed)
-            assert complement_property(f, field="real")[0] == complement_property(
-                f, field="complex"
-            )[0]
-
-    def test_field_validation(self):
-        with pytest.raises(ValidationError):
-            complement_property(FRAME_2X3, field="rational")
-
 
 class TestKernelBasis:
     def test_reference_frame_injective(self):
@@ -157,6 +146,15 @@ class TestCertify:
         assert cert.method == "TooFewVectors"
         assert cert.violating_subset is not None
         assert cert.witness is not None
+
+    def test_wide_eigenvalue_spread_two_by_two(self):
+        # the kernel matrix's two eigenvalues have magnitudes 1 and 2.5e-9
+        # (e^2/4 for e = 1e-4): the spectral split still realizes it to round-off
+        f = RealFrame([[1.0, 1.0], [0.0, 1e-4]])
+        cert = certify(f)
+        assert (cert.verdict, cert.method) == ("NotCPR", "TooFewVectors")
+        assert cert.witness.residual <= 1e-12
+        verify_witness(f, cert.witness)
 
     def test_m2_matches_complement_property(self):
         for seed in range(125):
@@ -390,6 +388,33 @@ class TestFalsifySearch:
                 verify_witness(f, exact)
                 found += 1
         assert found == frames
+
+    @pytest.mark.parametrize(
+        "method,build",
+        [
+            ("KernelWitness", lambda: RealFrame([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])),
+            ("KernelWitness", lambda: random_frame(3, 5, seed=2)),
+            ("KernelWitness", lambda: frame_on_cone(rotated_diag((2.0, 0.5, -1.0, -3.0), 4), 9, 4)),
+            ("MonteCarlo", lambda: frame_on_cone(rotated_diag((1.0, 0.8, 1e-8, -1.2), 9), 9, 9)),
+            ("TooFewVectors", lambda: random_frame(4, 6, seed=1)),
+            ("SearchWitness", lambda: frame_on_cone(planted_difference(6, 603), 14, 603)),
+        ],
+        ids=["m2 kernel", "m3 kernel", "kdim1 4x9", "in-band 4x9", "too few 4x6", "planted 6x14"],
+    )
+    def test_returns_the_certify_pair(self, method, build):
+        # one answer per frame: the ladder's exact pair where the kernel
+        # decides, its search where the question is open
+        frame = build()
+        cert = certify(frame, budget=32, seed=3)
+        assert cert.method == method
+        pair = falsify_search(frame, budget=32, seed=3)
+        if method == "MonteCarlo":
+            assert pair is None and cert.witness is None
+            return
+        assert np.array_equal(pair.x, cert.witness.x)
+        assert np.array_equal(pair.y, cert.witness.y)
+        assert pair.residual == cert.witness.residual
+        verify_witness(frame, pair, gap_tol=1e-6, dist_floor=0.05)
 
     def test_retrievable_frame_finds_nothing(self):
         assert falsify_search(FRAME_2X3, budget=10_000, seed=0) is None
@@ -634,6 +659,19 @@ class TestStrictReport:
         assert not is_phased_real(y)
         gap, scale = measurement_gap(f, y, np.conj(y))
         assert gap <= 1e-8 * max(scale, 1e-30)
+
+    def test_complex_m3_nullity_two(self):
+        # real columns leave im_gram one nonzero row: nullity 2 at M = 3
+        rng = rng_stream(508, 0)
+        mat = np.hstack([np.eye(3), random_signal(rng, 3)[:, None]])
+        f = ComplexFrame(mat)
+        report = conjpr.strict_report(f)
+        assert report.im_gram_nullity == 2
+        assert report.verdict == "StrictlyCPR"
+        y = report.witness_y
+        assert not is_phased_real(y)
+        gap, scale = measurement_gap(f, y, np.conj(y))
+        assert gap <= 1e-12 * scale
 
     def test_m1_candidate(self):
         report = conjpr.strict_report(RealFrame([[1.0, 2.0]]))

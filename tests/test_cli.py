@@ -115,6 +115,17 @@ class TestCertify:
         assert code == 0
         assert json.loads(stdout) == json.loads(cpath.read_text())
 
+    def test_wide_eigenvalue_spread_exit0(self, tmp_path, capsys):
+        # a valid spanning frame whose kernel matrix has eigenvalue magnitudes
+        # 1 and 2.5e-9: the pair is built to round-off, no exit 3
+        path = tmp_path / "f.json"
+        frames_io.save_frame(frames_io.RealFrame([[1.0, 1.0], [0.0, 1e-4]]), path)
+        code, stdout, err = run(capsys, "certify", str(path), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(stdout)
+        assert (doc["verdict"], doc["method"]) == ("NotCPR", "TooFewVectors")
+        assert frames_io.load_witness(doc["witness_file"]).residual <= 1e-12
+
     def test_complex_frame_redirected(self, tmp_path, capsys):
         path = tmp_path / "cf.json"
         rng = rng_stream(701, 0)
@@ -254,12 +265,23 @@ class TestFalsify:
         assert code == 0
         assert witness == json.loads((tmp_path / "f35.witness.json").read_text())
 
+    def test_json_witness_is_the_library_pair(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        frame = random_frame(3, 5, seed=12)
+        frames_io.save_frame(frame, path)
+        code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "32", "--seed", "4", "--json")
+        assert code == 0
+        pair = conjpr.falsify_search(frame, budget=32, seed=4)
+        assert json.loads(stdout)["witness"] == frames_io.witness_doc(pair)
+
     def test_budget_validation_exit2(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         frames_io.save_frame(random_frame(3, 5, seed=17), path)
         code, _, err = run(capsys, "falsify", str(path), "--budget", "0")
         assert code == 2
-        assert "budget" in err
+        assert err.strip() == (
+            "error [Validation]: budget must be an integer of at least 1, got 0"
+        )
 
 
 class TestSeedValidation:

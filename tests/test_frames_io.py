@@ -115,10 +115,6 @@ class TestRandomFrame:
         with pytest.raises(ValidationError):
             random_frame(3, 2, seed=0)
 
-    def test_unknown_distribution(self):
-        with pytest.raises(ValidationError):
-            random_frame(2, 3, seed=0, distribution="uniform")
-
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_restart_starts_are_spawned_streams(self, seed):
         # the multistart searches' starts, pinned to SeedSequence.spawn

@@ -33,6 +33,13 @@ def check_pair_realizes(pair, target, tol=1e-12):
     assert pair.residual <= tol
 
 
+def check_split_norm(pair, target):
+    # the spectral split spends no more than the target needs:
+    # |x|^2 + |y|^2 is the sum of the eigenvalue magnitudes
+    total = np.linalg.norm(pair.x) ** 2 + np.linalg.norm(pair.y) ** 2
+    assert total == pytest.approx(np.sum(np.abs(np.linalg.eigvalsh(target))), rel=1e-12)
+
+
 class TestDiagM3:
     def test_unit_case_exact_values(self):
         pair = witness_diag_m3(1.0, 1.0, 1.0)
@@ -105,16 +112,26 @@ class TestDiagM2:
 
 
 class TestWitnessGeneral:
-    def test_cone_target_identity_basis(self):
-        pair = witness_general(np.diag([1.0, 1.0, -1.0]))
-        base = witness_diag_m3(1.0, 1.0, 1.0)
-        np.testing.assert_allclose(np.abs(pair.x), np.abs(base.x), atol=1e-12)
-        check_pair_realizes(pair, np.diag([1.0, 1.0, -1.0]))
+    def test_cone_target_realized_at_distance_sqrt3(self):
+        h = np.diag([1.0, 1.0, -1.0])
+        pair = witness_general(h)
+        check_pair_realizes(pair, h)
+        assert conj_class_distance(pair.x, pair.y) == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
     def test_rotation_target(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         pair = witness_general(h)
         check_pair_realizes(pair, h)
+        check_split_norm(pair, h)
+
+    @pytest.mark.parametrize(
+        "h", [np.diag([1e-6, -10.0]), np.diag([10.0, 1e-6, -1e-5]), np.diag([1e-6, -3.0, -10.0])]
+    )
+    def test_wide_eigenvalue_spread(self, h):
+        # eigenvalue magnitudes seven decades apart still realize to round-off
+        pair = witness_general(h)
+        check_pair_realizes(pair, h, tol=1e-10)
+        check_split_norm(pair, h)
 
     def test_definite_inputs_refused(self):
         with pytest.raises(DefiniteInputError):
@@ -151,12 +168,16 @@ class TestWitnessGeneral:
             check_pair_realizes(pair, h, tol=1e-10)
             assert not conj_equivalent(pair.x, pair.y)
 
-    def test_closed_forms_unchanged_below_four(self):
-        # m in {2, 3} keep the closed forms: same bits as the diagonal leaves
-        pair = witness_general(np.diag([2.0, 0.5, -1.0]))
+    def test_closed_form_and_split_realize_the_same_target(self):
+        # the paper's closed form and the spectral split are two pairs for
+        # one target: same lift difference, same class distance |H|_F
+        h = np.diag([2.0, 0.5, -1.0])
+        pair = witness_general(h)
         base = witness_diag_m3(2.0, 0.5, 1.0)
-        assert np.array_equal(np.abs(pair.x), np.abs(base.x))
-        assert np.array_equal(np.abs(pair.y), np.abs(base.y))
+        for p in (pair, base):
+            check_pair_realizes(p, h)
+            assert conj_class_distance(p.x, p.y) == pytest.approx(np.linalg.norm(h), rel=1e-12)
+        check_split_norm(pair, h)
 
     def test_requires_exact_symmetry(self):
         with pytest.raises(ValidationError):
@@ -168,6 +189,7 @@ class TestWitnessGeneral:
             h = make_indefinite_target(rng, (1, -1, -1))
             pair = witness_general(h)
             check_pair_realizes(pair, h, tol=1e-10)
+            check_split_norm(pair, h)
 
     def test_two_positive_pattern(self):
         rng = rng_stream(406, 0)
@@ -175,6 +197,7 @@ class TestWitnessGeneral:
             h = make_indefinite_target(rng, (1, 1, -1))
             pair = witness_general(h)
             check_pair_realizes(pair, h, tol=1e-10)
+            check_split_norm(pair, h)
 
     def test_near_degenerate_middle(self):
         rng = rng_stream(407, 0)
