@@ -3,7 +3,11 @@
 Two kernels live here:
 
 * a multistart Gauss-Newton search over the unit sphere of the lift kernel
-  for a matrix that a signal pair realizes, vectorized over all restarts;
+  for a matrix that a signal pair realizes, vectorized over all restarts.
+  Below 4M-6 vectors (N <= 4M-7) ``certify`` first calls it on restart 0
+  alone for one stall window (``_STALL_EVERY`` iterations); a hit that
+  stops inside the window is the stack's answer, and otherwise the stack
+  of all restarts runs;
 * the alternating projection between the measurement-consistent affine set
   and the cone of PSD rank-<=2 lifts, restart 0 alone and then the other
   restarts in lockstep as one stack.

@@ -20,10 +20,12 @@ One ladder, built on Omega and its SVD computed once per call, serves
   Three eigenvalues of one sign clear of round-off certify retrievability
   (KernelInertia); at most two of each sign give an exact pair by the
   spectral split (KernelWitness);
-* otherwise (M >= 4 with kernel dimension >= 2, or a kernel eigenvalue too
-  close to zero to sign) the question stays open: Undecided, optionally
-  refined by a randomized search on the unit sphere of the same kernel for
-  a matrix that a pair realizes, which then gives the pair (SearchWitness).
+* otherwise (kernel dimension >= 2 at M >= 4, a kernel eigenvalue too close
+  to zero to sign, or a kernel matrix that round-off leaves one-signed) the
+  question stays open: Undecided, optionally refined by a randomized search
+  on the unit sphere of the same kernel for a matrix that a pair realizes,
+  which then gives the pair (SearchWitness).  Below 4M-6 vectors, where a
+  generic frame has a pair, the search's restart 0 runs alone first.
 
 Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
 split is attached.  Undecided is an honest verdict: search failure is never
@@ -78,7 +80,8 @@ INERTIA_MARGIN = 1e-6
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
 #: Bound on a hit's squared measurement gap; its spectral residual must be
-#: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2.
+#: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2, and its kept eigenvalues
+#: must have both signs beyond ZERO_EIG_TOL.
 _SEARCH_GAP_TOL = 1e-12
 
 _STRICT_SEED = 0x5C1C7  # fixed: strict_report is deterministic
@@ -209,13 +212,24 @@ def _det_certifies(om: np.ndarray, det: float) -> bool:
     return abs(det) > 1e-10 * bound
 
 
-def _kernel_pair(H: np.ndarray, tol: float) -> WitnessPair:
+def _kernel_pair(H: np.ndarray, tol: float) -> WitnessPair | None:
+    """Spectral-split pair realizing the kernel matrix H, or None.
+
+    ``witness_general`` counts eigenvalues within ZERO_EIG_TOL |H|_F as zero.
+    At M <= 3 a small eigenvalue of the other sign (e^2/4 on the frame
+    [[1, 1], [0, e]]) can fall under that and leave H reading one-signed,
+    although a spanning frame's kernel matrix has both signs there; the
+    split of the unthresholded eigenvalues realizes H when they show both.
+    At M >= 4 eigenvalue signs decide whether a pair exists, and round-off
+    does not sign one: None.
+    """
     try:
         pair = witness_general(H)
-    except DefiniteInputError as exc:
-        raise IndefinitenessViolationError(
-            "kernel matrix is one-signed; the input cannot be a spanning frame"
-        ) from exc
+    except DefiniteInputError:
+        w, U = np.linalg.eigh(H)
+        if len(w) > 3 or not w[0] < 0.0 < w[-1]:
+            return None
+        pair = _spectral_pair(w, U, H)
     if pair.residual > tol:
         raise IndefinitenessViolationError(
             f"witness synthesis residual {pair.residual:.2e} exceeds tol"
@@ -242,9 +256,10 @@ def _decide(frame: RealFrame, tol: float = 1e-9) -> tuple[Certificate, list]:
         square = m in (2, 3) and det_val is not None and _det_certifies(om, det_val)
         return decided("CertifiedCPR", f"Det{m}" if square else "KernelInjective")
     H = devectorize(basis[0])
+    pair = None
     if m <= 3:
-        return decided("NotCPR", "KernelWitness", witness=_kernel_pair(H, tol))
-    if kdim == 1:
+        pair = _kernel_pair(H, tol)
+    elif kdim == 1:
         w = np.linalg.eigvalsh(H)
         scale = np.linalg.norm(H)
         sure = max(np.sum(w > INERTIA_MARGIN * scale), np.sum(w < -INERTIA_MARGIN * scale))
@@ -252,7 +267,9 @@ def _decide(frame: RealFrame, tol: float = 1e-9) -> tuple[Certificate, list]:
             return decided("CertifiedCPR", "KernelInertia")
         signed = max(np.sum(w > ZERO_EIG_TOL * scale), np.sum(w < -ZERO_EIG_TOL * scale))
         if signed <= 2:
-            return decided("NotCPR", "KernelWitness", witness=_kernel_pair(H, tol))
+            pair = _kernel_pair(H, tol)
+    if pair is not None:
+        return decided("NotCPR", "KernelWitness", witness=pair)
     return decided("Undecided", "MonteCarlo")
 
 
@@ -279,8 +296,9 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     if cert.verdict == "CertifiedCPR":
         raise NoKernelError("lifted operator is injective; no kernel to realize")
     raise WrongDimensionError(
-        "exact falsification needs M in {2, 3} or a one-dimensional kernel; "
-        f"this frame has M={frame.m} and kernel dimension {cert.kernel_dim}"
+        "exact falsification needs M in {2, 3} or a one-dimensional kernel whose "
+        f"matrix the kernel test can sign; this frame has M={frame.m} and kernel "
+        f"dimension {cert.kernel_dim}"
     )
 
 
@@ -293,28 +311,53 @@ def _kernel_matrices(basis: list, m: int) -> np.ndarray:
 
 
 def _search_with_stats(frame, basis: list, budget: int, seed: int):
+    """Kernel-sphere search: the lowest-index hit's pair, or None, and the trial statistics.
+
+    Below 4M-6 vectors (N <= 4M-7), where a generic frame has a pair, restart
+    0 first runs alone for one stall window (``_kernels._STALL_EVERY``
+    iterations).  A hit that stopped inside the window is finished and has
+    the lowest index, so it is the stack's answer; otherwise all ``budget``
+    restarts run as one stack, as they always do at N >= 4M-6.  The
+    statistics come from the restarts that ran: on a probe hit,
+    ``best_gap`` and ``best_distance`` are restart 0's, and ``restarts``
+    reports the budget either way.
+    """
     H = _kernel_matrices(basis, frame.m)
-    starts = _restart_starts(seed, budget, len(H))
-    cs, fs, fmeas, ds, _ = _kernels.pair_search(
-        frame.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
+    stats = {"restarts": budget, "seed": seed}
+    if frame.n <= 4 * frame.m - 7:
+        probe = _kernels.pair_search(
+            frame.matrix, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
+            _kernels._STALL_EVERY,
+        )
+        if probe[4][0] < _kernels._STALL_EVERY:
+            pair = _search_pair(probe, H, stats)
+            if pair is not None:
+                return pair, stats
+    run = _kernels.pair_search(
+        frame.matrix, _restart_starts(seed, budget, len(H)), SEARCH_DISTANCE, H,
+        _SEARCH_MAX_ITER,
     )
+    return _search_pair(run, H, stats), stats
+
+
+def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
+    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``."""
+    cs, fs, fmeas, ds, _ = run
     success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
     best = int(np.argmin(fs))
-    stats = {
-        "restarts": budget,
-        "seed": seed,
-        "best_gap": float(np.sqrt(fmeas[best])),
-        "best_distance": float(ds[best]),
-    }
-    hits = np.flatnonzero(success)
-    if hits.size == 0:
-        return None, stats
-    # zero the residual eigenvalues and split the rest, at |x|^2 + |y|^2 = 2
-    w, U = np.linalg.eigh(np.tensordot(cs[hits[0]], H, 1))
-    kept = np.where(_kernels.residual_mask(w), 0.0, w)
-    kept *= 2.0 / np.sum(np.abs(kept))
-    target = (U * kept) @ U.T
-    return _spectral_pair(kept, U, (target + target.T) / 2.0), stats
+    stats["best_gap"] = float(np.sqrt(fmeas[best]))
+    stats["best_distance"] = float(ds[best])
+    for r in np.flatnonzero(success):
+        # zero the residual eigenvalues and split the rest, at |x|^2 + |y|^2 = 2
+        w, U = np.linalg.eigh(np.tensordot(cs[r], H, 1))
+        kept = np.where(_kernels.residual_mask(w), 0.0, w)
+        # one sign alone would be Re(xx*) with every measurement of x zero,
+        # which no spanning frame has: only round-off put it in the kernel
+        if kept.min() < -ZERO_EIG_TOL and kept.max() > ZERO_EIG_TOL:
+            kept *= 2.0 / np.sum(np.abs(kept))
+            target = (U * kept) @ U.T
+            return _spectral_pair(kept, U, (target + target.T) / 2.0)
+    return None
 
 
 def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | None:

@@ -55,7 +55,7 @@ class NoKernelError(CprError):
 
 
 class IndefinitenessViolationError(CprError):
-    """Kernel matrix is one-signed; the input cannot be a spanning frame."""
+    """The pair synthesized for a kernel matrix misses it beyond the residual bound."""
 
     code = "IndefinitenessViolation"
 

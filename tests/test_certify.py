@@ -28,12 +28,19 @@ from conjpr import (
     random_frame,
     rng_stream,
 )
-from conjpr.certify import _kernel_matrices
+from conjpr.certify import (
+    SEARCH_DISTANCE,
+    _SEARCH_GAP_TOL,
+    _SEARCH_MAX_ITER,
+    _kernel_matrices,
+    _kernel_pair,
+)
 from conjpr.errors import (
     NoKernelError,
     ValidationError,
     WrongDimensionError,
 )
+from conjpr.witness import _spectral_pair
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -155,6 +162,69 @@ class TestCertify:
         assert (cert.verdict, cert.method) == ("NotCPR", "TooFewVectors")
         assert cert.witness.residual <= 1e-12
         verify_witness(f, cert.witness)
+
+    @pytest.mark.parametrize("budget", [0, 32])
+    @pytest.mark.parametrize("e", [1e-6, 3.6e-6, 1.3e-5])
+    def test_kernel_eigenvalue_below_zero_tol_two_by_two(self, e, budget):
+        # the kernel matrix's small eigenvalue, e^2/4, is under ZERO_EIG_TOL of
+        # its norm, so it reads one-signed once thresholded; its unthresholded
+        # eigenvalues have both signs and build the pair
+        f = RealFrame([[1.0, 1.0], [0.0, e]])
+        cert = certify(f, budget=budget)
+        assert (cert.verdict, cert.method) == ("NotCPR", "TooFewVectors")
+        assert cert.witness.residual <= 1e-12
+        verify_witness(f, cert.witness)
+
+    @pytest.mark.parametrize("budget", [0, 32])
+    @pytest.mark.parametrize("e", [1e-6, 3.6e-6])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_kernel_eigenvalue_below_zero_tol_three_by_five(self, row, e, budget):
+        mat = random_frame(3, 5, seed=0).matrix.copy()
+        mat[row] *= e
+        f = RealFrame(mat)
+        cert = certify(f, budget=budget)
+        assert (cert.verdict, cert.method, cert.kernel_dim) == ("NotCPR", "KernelWitness", 1)
+        assert cert.witness.residual <= 1e-9
+        # x or y lies along the scaled row, where every measurement is tiny:
+        # bound the gap by the frame's scale, not by the measurements'
+        x, y = cert.witness.x, cert.witness.y
+        gap, _ = measurement_gap(f, x, y)
+        assert gap <= 1e-12 * np.max(np.sum(mat**2, axis=0)) * (x @ x.conj() + y @ y.conj()).real
+        assert conj_class_distance(x, y) >= 0.5
+
+    def test_one_signed_kernel_matrix_is_undecided(self):
+        # round-off can leave even the unthresholded kernel eigenvalues of
+        # this frame one-signed, depending on the LAPACK build; whatever they
+        # read, certify returns a verdict, and without a pair it is Undecided
+        mat = random_frame(3, 5, seed=20).matrix.copy()
+        mat[1] *= 1e-8
+        f = RealFrame(mat)
+        for budget in (0, 32):
+            cert = certify(f, budget=budget)
+            assert cert.verdict in ("NotCPR", "Undecided")
+            assert (cert.verdict == "NotCPR") == (cert.witness is not None)
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-8])
+    def test_round_off_kernel_at_m4_is_undecided(self, e):
+        # scaling a row keeps a generic 4x10 frame retrievable, but its lift
+        # gains a near-null direction close to the one-signed e4 e4^T: no
+        # pair may be read from round-off signs, by the ladder or the search
+        for seed in range(3):
+            mat = random_frame(4, 10, seed=seed).matrix.copy()
+            mat[3] *= e
+            for budget in (0, 16):
+                cert = certify(RealFrame(mat), budget=budget)
+                assert (cert.verdict, cert.method) == ("Undecided", "MonteCarlo")
+                assert cert.kernel_dim == 1
+
+    def test_kernel_pair_needs_both_signs_unthresholded(self):
+        # thresholded one-signed, both signs raw: the raw split realizes H
+        H = rotated_diag((1.0, 0.5, -1e-12), seed=3)
+        pair = _kernel_pair(H, 1e-9)
+        assert pair.residual <= 1e-12
+        assert np.count_nonzero(pair.y) > 0
+        # one-signed even raw: no pair, and no exception
+        assert _kernel_pair(rotated_diag((1.0, 0.5, 1e-12), seed=3), 1e-9) is None
 
     def test_m2_matches_complement_property(self):
         for seed in range(125):
@@ -542,6 +612,114 @@ class TestPairSearchKernel:
         assert cert.method == "SearchWitness"
         assert np.array_equal(cert.witness.x, first.x)
         assert np.array_equal(cert.witness.y, first.y)
+
+
+class TestSearchProbe:
+    """Below 4M-6 vectors restart 0 runs alone first; the answer is the full stack's."""
+
+    BUDGET = 64
+
+    @staticmethod
+    def stack(f, seed, budget):
+        # every restart in one pair_search call, answered by the lowest-index hit
+        H = _kernel_matrices(kernel_basis(omega_matrix(f)), f.m)
+        starts = frames_io._restart_starts(seed, budget, len(H))
+        cs, fs, fmeas, ds, iters = _kernels.pair_search(
+            f.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
+        )
+        hits = np.flatnonzero(
+            (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
+        )
+        best = int(np.argmin(fs))
+        trials = {
+            "restarts": budget,
+            "seed": seed,
+            "best_gap": float(np.sqrt(fmeas[best])),
+            "best_distance": float(ds[best]),
+        }
+        if hits.size == 0:
+            return None, trials, iters
+        w, U = np.linalg.eigh(np.tensordot(cs[hits[0]], H, 1))
+        kept = np.where(_kernels.residual_mask(w), 0.0, w)
+        kept *= 2.0 / np.sum(np.abs(kept))
+        target = (U * kept) @ U.T
+        return _spectral_pair(kept, U, (target + target.T) / 2.0), trials, iters
+
+    def assert_same_answer(self, f, seed):
+        pair, trials, iters = self.stack(f, seed, self.BUDGET)
+        cert = certify(f, budget=self.BUDGET, seed=seed)
+        if pair is None:
+            assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
+        else:
+            assert (cert.verdict, cert.method) == ("NotCPR", "SearchWitness")
+            for a, b in zip(
+                (pair.x, pair.y, pair.target), (cert.witness.x, cert.witness.y, cert.witness.target)
+            ):
+                assert a.tobytes() == b.tobytes()
+        return cert, trials, iters
+
+    @pytest.mark.parametrize("m, n", [(4, 8), (5, 11), (6, 14)])
+    def test_planted(self, m, n):
+        for seed in range(3):
+            f = frame_on_cone(planted_difference(m, 700 + seed), n, 700 + seed)
+            self.assert_same_answer(f, seed)
+
+    @pytest.mark.parametrize("m, n", [(5, 12), (6, 17), (7, 21)])
+    def test_generic(self, m, n):
+        for seed in range(3):
+            self.assert_same_answer(random_frame(m, n, seed=seed), seed)
+
+    def test_probe_hit_reports_restart_zero(self):
+        f = random_frame(5, 12, seed=0)
+        cert, trials, iters = self.assert_same_answer(f, 0)
+        assert cert.method == "SearchWitness" and iters[0] < _kernels._STALL_EVERY
+        _, _, fmeas, ds, _ = _kernels.pair_search(
+            f.matrix, frames_io._restart_starts(0, 1, 3), SEARCH_DISTANCE,
+            _kernel_matrices(kernel_basis(omega_matrix(f)), 5), _kernels._STALL_EVERY,
+        )
+        assert cert.trials == {
+            "restarts": self.BUDGET,
+            "seed": 0,
+            "best_gap": float(np.sqrt(fmeas[0])),
+            "best_distance": float(ds[0]),
+        }
+
+    @pytest.mark.parametrize(
+        "m, n, seed",
+        [
+            (6, 17, 1),  # restart 0 stalls: restart 1 is the first hit
+            (7, 21, 0),  # restart 0 hits after the probe's window
+        ],
+    )
+    def test_probe_miss_reports_the_stack(self, m, n, seed):
+        cert, trials, iters = self.assert_same_answer(random_frame(m, n, seed=seed), 0)
+        assert iters[0] > _kernels._STALL_EVERY
+        assert cert.method == "SearchWitness"
+        assert cert.trials == trials
+
+    def test_calls(self, monkeypatch):
+        calls = []
+        search = _kernels.pair_search
+
+        def record(phi, starts, delta, H, max_iter):
+            calls.append((starts.shape[0], max_iter))
+            return search(phi, starts, delta, H, max_iter)
+
+        monkeypatch.setattr(_kernels, "pair_search", record)
+        certify(random_frame(5, 12, seed=0), budget=64)  # probe hit
+        assert calls == [(1, _kernels._STALL_EVERY)]
+        calls.clear()
+        certify(random_frame(6, 17, seed=1), budget=64)  # probe miss
+        assert calls == [(1, _kernels._STALL_EVERY), (64, _SEARCH_MAX_ITER)]
+        calls.clear()
+        certify(random_frame(6, 18, seed=3), budget=64)  # N = 4M-6: no probe
+        assert calls == [(64, _SEARCH_MAX_ITER)]
+
+    def test_probe_start_is_the_stack_start(self):
+        for seed in (0, 5, 123):
+            for k in (1, 3, 7):
+                one = frames_io._restart_starts(seed, 1, k)
+                assert np.array_equal(one[0], frames_io._restart_starts(seed, 64, k)[0])
 
 
 class TestImGram:

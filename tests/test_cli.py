@@ -126,6 +126,17 @@ class TestCertify:
         assert (doc["verdict"], doc["method"]) == ("NotCPR", "TooFewVectors")
         assert frames_io.load_witness(doc["witness_file"]).residual <= 1e-12
 
+    def test_kernel_eigenvalue_below_zero_tol_exit0(self, tmp_path, capsys):
+        # eigenvalue magnitudes 1 and 2.5e-13, under ZERO_EIG_TOL of the
+        # norm: the unthresholded eigenvalues still build the pair
+        path = tmp_path / "f.json"
+        frames_io.save_frame(frames_io.RealFrame([[1.0, 1.0], [0.0, 1e-6]]), path)
+        code, stdout, err = run(capsys, "certify", str(path), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(stdout)
+        assert (doc["verdict"], doc["method"]) == ("NotCPR", "TooFewVectors")
+        assert frames_io.load_witness(doc["witness_file"]).residual <= 1e-12
+
     def test_complex_frame_redirected(self, tmp_path, capsys):
         path = tmp_path / "cf.json"
         rng = rng_stream(701, 0)
