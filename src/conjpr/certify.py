@@ -9,13 +9,16 @@ exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 
 One ladder, built on Omega and its SVD computed once per call, serves
 ``certify``, ``falsify_exact`` and ``falsify_search`` (which returns
-``certify``'s pair):
+``certify``'s pair).  Where the kernel decides, one eigendecomposition of
+its first matrix answers every step:
 
 * kernel dimension 0: retrievable at every M (Det2/Det3 name the square
   M = 2, 3 cases, KernelInjective the rest);
 * M <= 3 with a kernel: not retrievable; a spanning frame forces every
   kernel matrix to be indefinite, hence realizable, and the spectral split
-  builds the pair (KernelWitness);
+  builds the pair (KernelWitness).  At M = 2 the columns lie on the two
+  isotropic lines of that matrix, which its eigenvectors tell apart, and
+  the complement-property violating split is read off them;
 * M >= 4 with a one-dimensional kernel: the inertia of its matrix decides.
   Three eigenvalues of one sign clear of round-off certify retrievability
   (KernelInertia); at most two of each sign give an exact pair by the
@@ -40,7 +43,6 @@ import numpy as np
 
 from .algebra import is_phased_real
 from .errors import (
-    DefiniteInputError,
     IndefinitenessViolationError,
     NoKernelError,
     ValidationError,
@@ -48,7 +50,10 @@ from .errors import (
 )
 from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts, rng_stream
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
-from .witness import ZERO_EIG_TOL, WitnessPair, _spectral_pair, witness_general
+# witness_general is no longer called here (the ladder splits its own
+# eigendecomposition) but stays a conjpr.certify attribute, which
+# perfbench/tracing.py wraps.
+from .witness import ZERO_EIG_TOL, WitnessPair, _spectral_pair, witness_general  # noqa: F401
 from . import _kernels
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -76,15 +81,23 @@ KERNEL_TOL = 1e-10
 #: question open.
 INERTIA_MARGIN = 1e-6
 
+#: Bound on the relative residual of a kernel witness.
+_WITNESS_TOL = 1e-9
+
 #: Minimum lift-space separation a searched pair must exhibit.
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
-#: Bound on a hit's squared measurement gap; its spectral residual must be
+#: Bound on a hit's squared measurement gap, as a fraction of max_k |phi_k|^4
+#: (the gap of column k scales as |phi_k|^2); its spectral residual must be
 #: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2, and its kept eigenvalues
 #: must have both signs beyond ZERO_EIG_TOL.
 _SEARCH_GAP_TOL = 1e-12
 
 _STRICT_SEED = 0x5C1C7  # fixed: strict_report is deterministic
+#: strict_report's bound on a witness's relative conjugation gap, and its
+#: restarts when the imaginary-Gram nullspace is not a line.
+_STRICT_TOL = 1e-9
+_STRICT_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -157,36 +170,27 @@ def complement_property(frame, cap: int = 24):
     return True, None
 
 
-def _m2_violating_subset(mat: np.ndarray) -> tuple | None:
+def _m2_violating_subset(mat: np.ndarray, U: np.ndarray) -> tuple | None:
     """The split ``complement_property`` returns first, for an M = 2 frame that fails it.
 
-    Such a frame has its nonzero columns on at most two lines.  The walk
-    stops at the subset containing 0 with the smallest bit pattern: {0} when
-    one line carries every nonzero column, else the line of column 0 when
-    that column is nonzero, else 0 with the line whose largest index is
-    smaller.  O(N); None when ``numeric_rank`` does not confirm the split.
+    Such a frame has its nonzero columns on the two isotropic lines of its
+    kernel matrix, whose eigenvectors are the columns of ``U``; the sign of
+    (u_1 . phi)(u_2 . phi) tells the lines apart and is 0 on a zero column.
+    The walk stops at the subset containing 0 with the smallest bit pattern:
+    the line of column 0 when that column is nonzero, else 0 with the line
+    whose largest index is smaller.  O(N); None when ``numeric_rank`` does not
+    confirm the split.
     """
-    n = mat.shape[1]
-    norms = np.linalg.norm(mat, axis=0)
-    lines, left = [], np.flatnonzero(norms > 0.0)
-    while left.size and len(lines) < 3:
-        k = left[0]
-        cross = mat[0, k] * mat[1, left] - mat[1, k] * mat[0, left]
-        on = np.abs(cross) <= 64 * n * _EPS * norms[k] * norms[left]
-        lines.append(list(left[on]))
-        left = left[~on]
-    if len(lines) == 1:
-        subset = [0]
-    elif len(lines) > 2:
-        return None  # a third line: the complement property holds
-    elif lines[0][0] == 0:
-        subset = lines[0]
+    side = np.sign((U[:, 0] @ mat) * (U[:, 1] @ mat))
+    if side[0]:
+        subset = side == side[0]
     else:
-        subset = [0] + min(lines, key=max)
-    complement = [k for k in range(n) if k not in subset]
-    if numeric_rank(mat[:, subset]) == 2 or numeric_rank(mat[:, complement]) == 2:
+        lines = [side == s for s in (-1.0, 1.0)]
+        subset = min(lines, key=lambda line: np.flatnonzero(line).max(initial=-1))
+        subset[0] = True
+    if numeric_rank(mat[:, subset]) == 2 or numeric_rank(mat[:, ~subset]) == 2:
         return None
-    return tuple(int(k) for k in subset)
+    return tuple(int(k) for k in np.flatnonzero(subset))
 
 
 def _nullspace(mat: np.ndarray, tol: float, floor: float = 0.0) -> list[np.ndarray]:
@@ -212,36 +216,20 @@ def _det_certifies(om: np.ndarray, det: float) -> bool:
     return abs(det) > 1e-10 * bound
 
 
-def _kernel_pair(H: np.ndarray, tol: float) -> WitnessPair | None:
-    """Spectral-split pair realizing the kernel matrix H, or None.
-
-    ``witness_general`` counts eigenvalues within ZERO_EIG_TOL |H|_F as zero.
-    At M <= 3 a small eigenvalue of the other sign (e^2/4 on the frame
-    [[1, 1], [0, e]]) can fall under that and leave H reading one-signed,
-    although a spanning frame's kernel matrix has both signs there; the
-    split of the unthresholded eigenvalues realizes H when they show both.
-    At M >= 4 eigenvalue signs decide whether a pair exists, and round-off
-    does not sign one: None.
-    """
-    try:
-        pair = witness_general(H)
-    except DefiniteInputError:
-        w, U = np.linalg.eigh(H)
-        if len(w) > 3 or not w[0] < 0.0 < w[-1]:
-            return None
-        pair = _spectral_pair(w, U, H)
-    if pair.residual > tol:
-        raise IndefinitenessViolationError(
-            f"witness synthesis residual {pair.residual:.2e} exceeds tol"
-        )
-    return pair
-
-
-def _decide(frame: RealFrame, tol: float = 1e-9) -> tuple[Certificate, list]:
+def _decide(frame: RealFrame) -> tuple[Certificate, list]:
     """The exact steps of the ladder: Undecided/MonteCarlo when they do not decide.
 
-    Builds Omega and its SVD once; returns the kernel basis for the search.
-    ``tol`` bounds the residual of a kernel witness.
+    Builds Omega and its SVD once and returns the kernel basis for the
+    search.  One ``eigh`` of the first kernel matrix H answers every exact
+    step with a kernel (M <= 3, or M >= 4 with a one-dimensional kernel):
+    three eigenvalues of one sign beyond INERTIA_MARGIN |H|_F certify at
+    M >= 4; otherwise the eigenvalues within ZERO_EIG_TOL |H|_F are zeroed and
+    the rest, when they have both signs and at most two of each, give the
+    pair by the spectral split.  At M <= 3 a spanning frame's H has both
+    signs, so when zeroing leaves one sign (the e^2/4 eigenvalue of
+    [[1, 1], [0, e]]) the unthresholded eigenvalues are split; at M >= 4 the
+    signs decide whether a pair exists, and round-off does not sign one.  At
+    M = 2 the same eigenvectors give the violating split.
     """
     m, n = frame.m, frame.n
     om = omega_matrix(frame)
@@ -255,25 +243,29 @@ def _decide(frame: RealFrame, tol: float = 1e-9) -> tuple[Certificate, list]:
     if kdim == 0:
         square = m in (2, 3) and det_val is not None and _det_certifies(om, det_val)
         return decided("CertifiedCPR", f"Det{m}" if square else "KernelInjective")
+    if m >= 4 and kdim >= 2:
+        return decided("Undecided", "MonteCarlo")
     H = devectorize(basis[0])
-    pair = None
-    if m <= 3:
-        pair = _kernel_pair(H, tol)
-    elif kdim == 1:
-        w = np.linalg.eigvalsh(H)
-        scale = np.linalg.norm(H)
-        sure = max(np.sum(w > INERTIA_MARGIN * scale), np.sum(w < -INERTIA_MARGIN * scale))
-        if sure >= 3:
-            return decided("CertifiedCPR", "KernelInertia")
-        signed = max(np.sum(w > ZERO_EIG_TOL * scale), np.sum(w < -ZERO_EIG_TOL * scale))
-        if signed <= 2:
-            pair = _kernel_pair(H, tol)
-    if pair is not None:
-        return decided("NotCPR", "KernelWitness", witness=pair)
-    return decided("Undecided", "MonteCarlo")
+    w, U = np.linalg.eigh(H)
+    scale = np.linalg.norm(H)
+    margin = INERTIA_MARGIN * scale
+    if m >= 4 and max(np.sum(w > margin), np.sum(w < -margin)) >= 3:
+        return decided("CertifiedCPR", "KernelInertia")
+    kept = np.where(np.abs(w) > ZERO_EIG_TOL * scale, w, 0.0)
+    if m <= 3 and not kept.min() < 0.0 < kept.max():
+        kept = w
+    if not (0 < np.sum(kept > 0.0) <= 2 and 0 < np.sum(kept < 0.0) <= 2):
+        return decided("Undecided", "MonteCarlo")
+    pair = _spectral_pair(kept, U, H)
+    if pair.residual > _WITNESS_TOL:
+        raise IndefinitenessViolationError(
+            f"witness synthesis residual {pair.residual:.2e} exceeds tol"
+        )
+    subset = _m2_violating_subset(frame.matrix, U) if m == 2 else None
+    return decided("NotCPR", "KernelWitness", witness=pair, violating_subset=subset)
 
 
-def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
+def falsify_exact(frame) -> WitnessPair:
     """Counterexample pair realizing a kernel matrix of the lifted operator.
 
     Exact wherever the kernel alone decides: at M in {2, 3} a spanning frame
@@ -285,7 +277,7 @@ def falsify_exact(frame, tol: float = 1e-9) -> WitnessPair:
     question open (M >= 4 with kernel dimension >= 2).
     """
     frame = _require_real_frame(frame, "falsify_exact")
-    cert, _ = _decide(frame, tol)
+    cert, _ = _decide(frame)
     if cert.witness is not None:
         return cert.witness
     if cert.method == "KernelInertia":
@@ -324,26 +316,30 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
     """
     H = _kernel_matrices(basis, frame.m)
     stats = {"restarts": budget, "seed": seed}
+    gap_tol = _SEARCH_GAP_TOL * np.max(np.sum(frame.matrix**2, axis=0)) ** 2
     if frame.n <= 4 * frame.m - 7:
         probe = _kernels.pair_search(
             frame.matrix, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
             _kernels._STALL_EVERY,
         )
         if probe[4][0] < _kernels._STALL_EVERY:
-            pair = _search_pair(probe, H, stats)
+            pair = _search_pair(probe, H, gap_tol, stats)
             if pair is not None:
                 return pair, stats
     run = _kernels.pair_search(
         frame.matrix, _restart_starts(seed, budget, len(H)), SEARCH_DISTANCE, H,
         _SEARCH_MAX_ITER,
     )
-    return _search_pair(run, H, stats), stats
+    return _search_pair(run, H, gap_tol, stats), stats
 
 
-def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
-    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``."""
+def _search_pair(run, H: np.ndarray, gap_tol: float, stats: dict) -> WitnessPair | None:
+    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``.
+
+    A hit's squared measurement gap is at most ``gap_tol``.
+    """
     cs, fs, fmeas, ds, _ = run
-    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
+    success = (fs <= _kernels._HIT_F) & (fmeas <= gap_tol) & (ds >= SEARCH_DISTANCE)
     best = int(np.argmin(fs))
     stats["best_gap"] = float(np.sqrt(fmeas[best]))
     stats["best_distance"] = float(ds[best])
@@ -407,8 +403,6 @@ def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
             trials=trials,
             violating_subset=tuple(range((n + 1) // 2)),
         )
-    if m == 2 and cert.verdict == "NotCPR":
-        return replace(cert, violating_subset=_m2_violating_subset(frame.matrix))
     if cert.verdict != "Undecided":
         return cert
     if budget == 0:
@@ -482,7 +476,7 @@ def _conjugation_gap_ok(frame_mat: np.ndarray, y: np.ndarray, tol: float) -> boo
     return bool(np.all(gaps <= tol * np.maximum(scale, _EPS)))
 
 
-def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
+def strict_report(frame) -> StrictReport:
     """Classify whether retrievability by this frame could be conjugation-blind.
 
     Real frames always are: measurements of y and its conjugate coincide
@@ -491,8 +485,8 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
     Gram matrix contains a vector realizable as Im(y_j conj(y_k)) for some
     non-phased-real y; such a matrix is skew of rank <= 2.  A realizable
     point is sought by alternating projection between the nullspace and the
-    rank-2 skew cone (``budget`` restarts; one projection when the nullspace
-    is a line), with failure reported as Undecided.  For M <= 3 every nonzero
+    rank-2 skew cone (16 restarts; one projection when the nullspace is a
+    line), with failure reported as Undecided.  For M <= 3 every nonzero
     nullspace vector is realizable, so each restart realizes at its first
     projection.
     """
@@ -526,7 +520,7 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
     # so restart 0's first projection decides.  Every nonzero skew matrix of
     # size <= 3 has rank 2, so at M <= 3 every first projection realizes.
     basis = np.vstack(null_vecs)  # (k, pair_dim), orthonormal rows
-    restarts, max_iter = (1, 1) if nullity == 1 else (budget, 300)
+    restarts, max_iter = (1, 1) if nullity == 1 else (_STRICT_BUDGET, 300)
     for restart in range(restarts):
         rng = rng_stream(_STRICT_SEED, restart)
         s = basis.T @ rng.standard_normal(basis.shape[0])
@@ -549,6 +543,6 @@ def strict_report(frame, tol: float = 1e-9, budget: int = 16) -> StrictReport:
         if not realizable:
             continue
         y = a + 1j * b
-        if not is_phased_real(y) and _conjugation_gap_ok(cmat, y, tol):
+        if not is_phased_real(y) and _conjugation_gap_ok(cmat, y, _STRICT_TOL):
             return StrictReport("StrictlyCPR", witness_y=y, im_gram_nullity=nullity)
     return StrictReport("Undecided", None, nullity)

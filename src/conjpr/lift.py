@@ -67,14 +67,7 @@ def omega(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 1:
         raise ValidationError("phi must be 1-D")
-    if not np.all(np.isfinite(phi)):
-        raise ValidationError("phi has non-finite entries")
-    m = phi.shape[0]
-    out = np.empty(lift_dim(m))
-    out[:m] = phi * phi
-    iu, ju = np.triu_indices(m, k=1)
-    out[m:] = 2.0 * phi[iu] * phi[ju]
-    return out
+    return omega_matrix(phi[:, None])[0]
 
 
 def vectorize(Q) -> np.ndarray:
@@ -104,8 +97,6 @@ def omega_matrix(frame) -> np.ndarray:
         raise ValidationError("phi has non-finite entries")
     m, n = mat.shape
     rows, cols = _half_indices(m)
-    # 1.0 * phi_i * phi_i on the diagonal entries, 2.0 * phi_i * phi_j off
-    # it: the products of omega, in the same order, so the same bits
     coef = np.full(rows.shape[0], 2.0)
     coef[:m] = 1.0
     return np.multiply(coef * mat[rows].T, mat[cols].T, out=np.empty((n, rows.shape[0])))

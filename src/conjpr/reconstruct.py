@@ -66,7 +66,7 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
 def _truncate_psd2(Q: np.ndarray, tol: float):
     """Split Q into a factored rank-<=2 PSD part plus discarded mass.
 
-    Returns (xhat, discarded_abs, total_abs, discarded_sq).  Eigenvalues
+    Returns (xhat, discarded_abs, total_abs).  Eigenvalues
     below -tol*|Q|_F raise NotPSDError; negatives within tolerance are
     clamped to zero (and count as discarded mass).
     """
@@ -85,9 +85,8 @@ def _truncate_psd2(Q: np.ndarray, tol: float):
     xhat = np.sqrt(lam1) * u1 + 1j * np.sqrt(lam2) * u2
     rest = w[:-2] if m >= 2 else w[:0]
     discarded_abs = float(np.sum(np.abs(rest)))
-    discarded_sq = float(np.sum(rest * rest))
     total_abs = float(np.sum(np.abs(w)))
-    return xhat, discarded_abs, total_abs, discarded_sq
+    return xhat, discarded_abs, total_abs
 
 
 def factor_rank2(Q, tol: float = PSD_TOL) -> np.ndarray:
@@ -144,7 +143,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
         raise UnderdeterminedError("lifted operator is numerically rank deficient")
     v = np.linalg.lstsq(om, bvals, rcond=None)[0]
     Q = devectorize(v)
-    xhat, discarded_abs, total_abs, _ = _truncate_psd2(Q, tol)
+    xhat, discarded_abs, total_abs = _truncate_psd2(Q, tol)
     rank_excess = discarded_abs / max(total_abs, _EPS)
     return _result(om, xhat, bvals, rank_excess, 0, True)
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -27,13 +29,13 @@ from conjpr import (
     omega_matrix,
     random_frame,
     rng_stream,
+    vectorize,
 )
 from conjpr.certify import (
     SEARCH_DISTANCE,
     _SEARCH_GAP_TOL,
     _SEARCH_MAX_ITER,
     _kernel_matrices,
-    _kernel_pair,
 )
 from conjpr.errors import (
     NoKernelError,
@@ -41,6 +43,9 @@ from conjpr.errors import (
     WrongDimensionError,
 )
 from conjpr.witness import _spectral_pair
+
+# the module; the package attribute conjpr.certify is the function
+certify_module = importlib.import_module("conjpr.certify")
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -217,14 +222,59 @@ class TestCertify:
                 assert (cert.verdict, cert.method) == ("Undecided", "MonteCarlo")
                 assert cert.kernel_dim == 1
 
-    def test_kernel_pair_needs_both_signs_unthresholded(self):
+    def test_kernel_pair_needs_both_signs_unthresholded(self, monkeypatch):
+        # the ladder reads its kernel matrix through kernel_basis: hand it H
+        def certify_kernel(eigs):
+            v = vectorize(rotated_diag(eigs, seed=3))
+            monkeypatch.setattr(certify_module, "kernel_basis", lambda om: [v])
+            return certify(random_frame(3, 5, seed=0))
+
         # thresholded one-signed, both signs raw: the raw split realizes H
-        H = rotated_diag((1.0, 0.5, -1e-12), seed=3)
-        pair = _kernel_pair(H, 1e-9)
-        assert pair.residual <= 1e-12
-        assert np.count_nonzero(pair.y) > 0
+        cert = certify_kernel((1.0, 0.5, -1e-12))
+        assert (cert.verdict, cert.method) == ("NotCPR", "KernelWitness")
+        assert cert.witness.residual <= 1e-12
+        assert np.count_nonzero(cert.witness.y) > 0
         # one-signed even raw: no pair, and no exception
-        assert _kernel_pair(rotated_diag((1.0, 0.5, 1e-12), seed=3), 1e-9) is None
+        cert = certify_kernel((1.0, 0.5, 1e-12))
+        assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
+
+    def test_one_eigh_per_kernel_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            certify_module, "witness_general", counted("witness_general", conjpr.witness_general)
+        )
+        lines = RealFrame([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, -3.0]])
+        for f, method, subset in (
+            (lines, "KernelWitness", (0, 2)),  # M = 2: pair and violating split
+            (RealFrame([[1.0, 1.0], [0.0, 1e-6]]), "TooFewVectors", (0,)),  # the raw split
+            (random_frame(3, 5, seed=0), "KernelWitness", None),
+            (quadric_cone_frame_4d(9, seed=777), "KernelInertia", None),
+        ):
+            calls.clear()
+            cert = certify(f)
+            assert (cert.method, cert.violating_subset) == (method, subset)
+            assert calls == ["eigh"]
+        # M >= 4 with a kernel of dimension >= 2: no eigenvalue is computed
+        calls.clear()
+        assert certify(random_frame(4, 8, seed=0)).method == "MonteCarlo"
+        assert calls == []
+
+    @pytest.mark.parametrize("e", [1e-5, 1e-6, 1e-7, 1e-8])
+    def test_m2_split_needs_rank_confirmation(self, e):
+        # three lines, two of them within e: round-off gives the lift a
+        # kernel, but no split of the columns violates the complement property
+        cert = certify(RealFrame([[1.0, 1.0, 2.0], [0.0, e, 3 * e]]))
+        assert (cert.verdict, cert.method) == ("NotCPR", "KernelWitness")
+        assert cert.violating_subset is None
 
     def test_m2_matches_complement_property(self):
         for seed in range(125):
@@ -627,8 +677,9 @@ class TestSearchProbe:
         cs, fs, fmeas, ds, iters = _kernels.pair_search(
             f.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
         )
+        gap_tol = _SEARCH_GAP_TOL * np.max(np.sum(f.matrix**2, axis=0)) ** 2
         hits = np.flatnonzero(
-            (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
+            (fs <= _kernels._HIT_F) & (fmeas <= gap_tol) & (ds >= SEARCH_DISTANCE)
         )
         best = int(np.argmin(fs))
         trials = {
@@ -663,6 +714,17 @@ class TestSearchProbe:
         for seed in range(3):
             f = frame_on_cone(planted_difference(m, 700 + seed), n, 700 + seed)
             self.assert_same_answer(f, seed)
+
+    @pytest.mark.parametrize("scale", [1e5, 1e-3])
+    @pytest.mark.parametrize("m, n", [(4, 8), (5, 11), (6, 14)])
+    def test_planted_at_scale(self, m, n, scale):
+        # squared measurement gaps grow as |phi|^4, and so does a hit's bound
+        for seed in range(3):
+            mat = frame_on_cone(planted_difference(m, 700 + seed), n, 700 + seed).matrix
+            f = RealFrame(mat * scale)
+            cert, _, _ = self.assert_same_answer(f, seed)
+            assert cert.method == "SearchWitness"
+            verify_witness(f, cert.witness)
 
     @pytest.mark.parametrize("m, n", [(5, 12), (6, 17), (7, 21)])
     def test_generic(self, m, n):
