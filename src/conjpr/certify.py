@@ -87,8 +87,8 @@ _WITNESS_TOL = 1e-9
 #: Minimum lift-space separation a searched pair must exhibit.
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
-#: Bound on a hit's squared measurement gap, as a fraction of max_k |phi_k|^4
-#: (the gap of column k scales as |phi_k|^2); its spectral residual must be
+#: Bound on a hit's squared measurement gap over the unit columns (column k's
+#: gap divided by |phi_k|^2, which it scales as); its spectral residual must be
 #: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2, and its kept eigenvalues
 #: must have both signs beyond ZERO_EIG_TOL.
 _SEARCH_GAP_TOL = 1e-12
@@ -312,34 +312,35 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
     restarts run as one stack, as they always do at N >= 4M-6.  The
     statistics come from the restarts that ran: on a probe hit,
     ``best_gap`` and ``best_distance`` are restart 0's, and ``restarts``
-    reports the budget either way.
+    reports the budget either way.  Gaps are taken over the unit columns
+    phi_k / |phi_k| (zero columns stay zero), and so is ``best_gap``.
     """
     H = _kernel_matrices(basis, frame.m)
     stats = {"restarts": budget, "seed": seed}
-    gap_tol = _SEARCH_GAP_TOL * np.max(np.sum(frame.matrix**2, axis=0)) ** 2
+    # column k's gap scales as |phi_k|^2: on unit columns one bound holds for
+    # each column, whatever the norms of the others
+    norms = np.linalg.norm(frame.matrix, axis=0)
+    unit = frame.matrix / np.where(norms > 0.0, norms, 1.0)
     if frame.n <= 4 * frame.m - 7:
         probe = _kernels.pair_search(
-            frame.matrix, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
+            unit, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
             _kernels._STALL_EVERY,
         )
         if probe[4][0] < _kernels._STALL_EVERY:
-            pair = _search_pair(probe, H, gap_tol, stats)
+            pair = _search_pair(probe, H, stats)
             if pair is not None:
                 return pair, stats
     run = _kernels.pair_search(
-        frame.matrix, _restart_starts(seed, budget, len(H)), SEARCH_DISTANCE, H,
+        unit, _restart_starts(seed, budget, len(H)), SEARCH_DISTANCE, H,
         _SEARCH_MAX_ITER,
     )
-    return _search_pair(run, H, gap_tol, stats), stats
+    return _search_pair(run, H, stats), stats
 
 
-def _search_pair(run, H: np.ndarray, gap_tol: float, stats: dict) -> WitnessPair | None:
-    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``.
-
-    A hit's squared measurement gap is at most ``gap_tol``.
-    """
+def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
+    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``."""
     cs, fs, fmeas, ds, _ = run
-    success = (fs <= _kernels._HIT_F) & (fmeas <= gap_tol) & (ds >= SEARCH_DISTANCE)
+    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
     best = int(np.argmin(fs))
     stats["best_gap"] = float(np.sqrt(fmeas[best]))
     stats["best_distance"] = float(ds[best])

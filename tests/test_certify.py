@@ -88,6 +88,18 @@ def verify_witness(frame, pair, gap_tol=1e-9, dist_floor=0.05):
     assert conj_class_distance(pair.x, pair.y) >= dist_floor
 
 
+def unit_columns(frame):
+    return frame.matrix / np.linalg.norm(frame.matrix, axis=0)
+
+
+def worst_column_gap(frame, pair):
+    """max_k | |<x, phi_k>|^2 - |<y, phi_k>|^2 | / |phi_k|^2, from inner products."""
+    mat = frame.matrix
+    bx = np.abs(mat.T @ pair.x) ** 2
+    by = np.abs(mat.T @ pair.y) ** 2
+    return float(np.max(np.abs(bx - by) / np.sum(mat**2, axis=0)))
+
+
 class TestComplementProperty:
     def test_three_vectors_in_r2(self):
         ok, viol = complement_property(RealFrame([[1.0, 0, 1], [0, 1, 1.0]]))
@@ -675,11 +687,10 @@ class TestSearchProbe:
         H = _kernel_matrices(kernel_basis(omega_matrix(f)), f.m)
         starts = frames_io._restart_starts(seed, budget, len(H))
         cs, fs, fmeas, ds, iters = _kernels.pair_search(
-            f.matrix, starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
+            unit_columns(f), starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
         )
-        gap_tol = _SEARCH_GAP_TOL * np.max(np.sum(f.matrix**2, axis=0)) ** 2
         hits = np.flatnonzero(
-            (fs <= _kernels._HIT_F) & (fmeas <= gap_tol) & (ds >= SEARCH_DISTANCE)
+            (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
         )
         best = int(np.argmin(fs))
         trials = {
@@ -718,13 +729,27 @@ class TestSearchProbe:
     @pytest.mark.parametrize("scale", [1e5, 1e-3])
     @pytest.mark.parametrize("m, n", [(4, 8), (5, 11), (6, 14)])
     def test_planted_at_scale(self, m, n, scale):
-        # squared measurement gaps grow as |phi|^4, and so does a hit's bound
+        # column k's measurement gap grows as |phi_k|^2; the hit rule divides it out
         for seed in range(3):
             mat = frame_on_cone(planted_difference(m, 700 + seed), n, 700 + seed).matrix
             f = RealFrame(mat * scale)
             cert, _, _ = self.assert_same_answer(f, seed)
             assert cert.method == "SearchWitness"
             verify_witness(f, cert.witness)
+            assert worst_column_gap(f, cert.witness) <= 1e-9
+
+    @pytest.mark.parametrize("column", [0, 5])
+    def test_one_large_column_keeps_the_gap_check(self, column):
+        # a column at norm 1e5 puts round-off vectors into the numerical
+        # kernel; their pairs fail the gap on the other columns by O(1), which
+        # a bound set by the largest column alone would let through
+        for seed in range(4):
+            mat = random_frame(4, 10, seed=seed).matrix.copy()
+            mat[:, column] *= 1e5
+            f = RealFrame(mat)
+            cert = certify(f, budget=16)
+            assert cert.kernel_dim >= 2
+            assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
 
     @pytest.mark.parametrize("m, n", [(5, 12), (6, 17), (7, 21)])
     def test_generic(self, m, n):
@@ -736,7 +761,7 @@ class TestSearchProbe:
         cert, trials, iters = self.assert_same_answer(f, 0)
         assert cert.method == "SearchWitness" and iters[0] < _kernels._STALL_EVERY
         _, _, fmeas, ds, _ = _kernels.pair_search(
-            f.matrix, frames_io._restart_starts(0, 1, 3), SEARCH_DISTANCE,
+            unit_columns(f), frames_io._restart_starts(0, 1, 3), SEARCH_DISTANCE,
             _kernel_matrices(kernel_basis(omega_matrix(f)), 5), _kernels._STALL_EVERY,
         )
         assert cert.trials == {

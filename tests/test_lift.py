@@ -92,8 +92,15 @@ class TestOmegaMatrix:
         rng = rng_stream(205, 0)
         for m in range(1, 9):
             mat = rng.standard_normal((m, m * (m + 1) // 2 + 3))
+            # each row built entry by entry: the diagonal first, then i < j
+            reference = np.array([
+                [phi[i] * phi[i] for i in range(m)]
+                + [2.0 * phi[i] * phi[j] for i in range(m) for j in range(i + 1, m)]
+                for phi in mat.T
+            ])
+            assert np.array_equal(omega_matrix(mat), reference)
             columnwise = np.array([omega(mat[:, k]) for k in range(mat.shape[1])])
-            assert np.array_equal(omega_matrix(mat), columnwise)
+            assert np.array_equal(columnwise, reference)
 
 
 class TestApplyLift:
