@@ -1,6 +1,6 @@
 """Hot numeric kernels, in numpy.
 
-Two kernels live here:
+Three kernels live here:
 
 * a multistart Gauss-Newton search over the unit sphere of the lift kernel
   for a matrix that a signal pair realizes, vectorized over all restarts.
@@ -10,7 +10,14 @@ Two kernels live here:
   of all restarts runs;
 * the alternating projection between the measurement-consistent affine set
   and the cone of PSD rank-<=2 lifts, restart 0 alone and then the other
-  restarts in lockstep as one stack.
+  restarts in lockstep as one stack;
+* ``strict_report``'s alternating projection between the nullspace of the
+  imaginary Gram matrix and the cone of rank-2 skew matrices, all restarts
+  in lockstep as one stack.
+
+Each alternating projection makes one stacked eigendecomposition per
+iteration and takes every other product restart by restart, so a restart's
+iterates carry the same bits as when it runs alone.
 """
 
 from __future__ import annotations
@@ -26,6 +33,12 @@ _HIT_F = ZERO_EIG_TOL**2
 _DONE_F = 1e-22
 #: Every _STALL_EVERY iterations a restart above _HIT_F must have halved f.
 _STALL_EVERY = 10
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _row_dot(x, y):
+    """Dot products over the last axis, one per leading index: np.dot's bits on each."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def residual_mask(w):
@@ -152,7 +165,7 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
         v = rank2_psd_project(_symmetric(v, m, index))[..., rows, cols]
         gap = (omega @ v[..., None])[..., 0] - b
         # a dot product per restart: the bits of np.linalg.norm on each row
-        r = np.sqrt((gap[:, None, :] @ gap[..., None])[:, 0, 0])
+        r = np.sqrt(_row_dot(gap, gap))
         hit = r <= goal
         if np.count_nonzero(hit):
             done = live[hit]
@@ -193,3 +206,89 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
         return V[r], res[r], int(iters[r]), r, True
     r = int(np.argmin(res))
     return V[r], res[r], max_iter, r, False
+
+
+def _skew_from_pairs(s, m):
+    """Skew matrices (..., m, m) whose upper triangles, row by row, are s (..., m(m-1)/2)."""
+    iu, ju = np.triu_indices(m, k=1)
+    S = np.zeros(s.shape[:-1] + (m, m))
+    S[..., iu, ju] = s
+    S[..., ju, iu] = -s
+    return S
+
+
+def _pairs_from_skew(S):
+    iu, ju = np.triu_indices(S.shape[-1], k=1)
+    return S[..., iu, ju]
+
+
+def _factor_rank2_skew(S):
+    """Top rotation block of skew matrices (..., m, m): returns (a, b, S2).
+
+    S2 = b a^T - a b^T is the nearest rank-2 skew matrix, so y = a + i b has
+    Im(y_j conj(y_k)) equal to the entries of S2.  Leading axes stack
+    matrices; each is factored with the same bits as on its own.
+    """
+    w, Z = np.linalg.eig(S)
+    k = np.argmax(w.imag, axis=-1)
+    z = np.take_along_axis(Z, k[..., None, None], axis=-1)[..., 0]
+    # p is copied so that |p| carries the bits of np.linalg.norm(p), which sums
+    # a contiguous copy; BLAS sums a strided vector in another order.
+    p, q = np.ascontiguousarray(z.real), z.imag
+    u1 = p / np.sqrt(_row_dot(p, p))[..., None]
+    q_perp = q - _row_dot(q, u1)[..., None] * u1
+    u2 = q_perp / np.sqrt(_row_dot(q_perp, q_perp))[..., None]
+    gamma = (u1[..., None, :] @ S @ u2[..., :, None])[..., 0, 0]
+    flip = (gamma < 0.0)[..., None]
+    u1, u2 = np.where(flip, u2, u1), np.where(flip, u1, u2)
+    root = np.sqrt(np.abs(gamma))[..., None]
+    a, b = u2 * root, u1 * root
+    return a, b, b[..., :, None] * a[..., None, :] - a[..., :, None] * b[..., None, :]
+
+
+def skew_altproj(basis, starts, max_iter, wins):
+    """Alternating projection onto rank-2 skew matrices, all restarts in lockstep.
+
+    ``basis`` (k, m(m-1)/2) has orthonormal rows; restart r starts at
+    basis^T starts[r] (starts is (restarts, k)), normalized, and is skipped if
+    that is zero.  Each iteration factors every live restart's skew matrix S
+    into its nearest rank-2 skew matrix S2 = b a^T - a b^T, with one stacked
+    eig, then projects S2 onto the row space of ``basis`` and normalizes.
+
+    A restart stops when S is realized (|S - S2| <= 1e-11 |S|), when its
+    projection collapses (norm <= 1e-12), or after ``max_iter``
+    factorizations.  A realized restart wins when ``wins(a, b)`` holds; then
+    every live restart above it stops, and the ones below it run on, so the
+    lowest winning index is the one that running the restarts one by one in
+    order finds first.
+
+    Returns per-restart arrays (a, b, iterations, won) holding each restart's
+    last factors.
+    """
+    R = starts.shape[0]
+    m = _dim_from_lift(basis.shape[1]) + 1  # m(m-1)/2 pairs
+    a, b = np.zeros((R, m)), np.zeros((R, m))
+    iters = np.zeros(R, dtype=np.int64)
+    won = np.zeros(R, dtype=bool)
+    live = np.arange(R)
+    s = (basis.T @ starts[..., None])[..., 0]
+    norm = np.sqrt(_row_dot(s, s))
+    keep = norm > _EPS
+    for it in range(1, max_iter + 1):
+        live, s = live[keep], s[keep] / norm[keep, None]
+        if live.size == 0:
+            break
+        S = _skew_from_pairs(s, m)
+        al, bl, S2 = _factor_rank2_skew(S)
+        a[live], b[live], iters[live] = al, bl, it
+        D, F = (S - S2).reshape(live.size, -1), S.reshape(live.size, -1)
+        realized = np.sqrt(_row_dot(D, D)) <= 1e-11 * np.sqrt(_row_dot(F, F))
+        s = (basis.T @ (basis @ _pairs_from_skew(S2)[..., None]))[..., 0]
+        norm = np.sqrt(_row_dot(s, s))
+        keep = ~realized & (norm > 1e-12)
+        for r in np.flatnonzero(realized):
+            if wins(al[r], bl[r]):
+                won[live[r]] = True
+                keep &= live < live[r]
+                break
+    return a, b, iters, won

@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
     WrongDimensionError,
 )
-from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts, rng_stream
+from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts
 from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
 # witness_general is no longer called here (the ladder splits its own
 # eigendecomposition) but stays a conjpr.certify attribute, which
@@ -433,42 +433,6 @@ def im_gram(frame) -> np.ndarray:
     return np.imag(mat[iu].conj() * mat[ju]).T
 
 
-def _skew_from_pairs(s: np.ndarray, m: int) -> np.ndarray:
-    S = np.zeros((m, m))
-    iu, ju = np.triu_indices(m, k=1)
-    S[iu, ju] = s
-    S[ju, iu] = -s
-    return S
-
-
-def _pairs_from_skew(S: np.ndarray) -> np.ndarray:
-    iu, ju = np.triu_indices(S.shape[0], k=1)
-    return S[iu, ju]
-
-
-def _factor_rank2_skew(S: np.ndarray):
-    """Top rotation block of a skew matrix: returns (a, b, S2).
-
-    S2 = b a^T - a b^T is the nearest rank-2 skew matrix, so y = a + i b has
-    Im(y_j conj(y_k)) equal to the entries of S2.
-    """
-    w, Z = np.linalg.eig(S)
-    k = int(np.argmax(w.imag))
-    z = Z[:, k]
-    p, q = z.real, z.imag
-    u1 = p / np.linalg.norm(p)
-    q_perp = q - np.dot(q, u1) * u1
-    u2 = q_perp / np.linalg.norm(q_perp)
-    gamma = float(u1 @ S @ u2)
-    if gamma < 0.0:
-        u1, u2 = u2, u1
-        gamma = -gamma
-    a = u2 * np.sqrt(gamma)
-    b = u1 * np.sqrt(gamma)
-    S2 = np.outer(b, a) - np.outer(a, b)
-    return a, b, S2
-
-
 def _conjugation_gap_ok(frame_mat: np.ndarray, y: np.ndarray, tol: float) -> bool:
     inner = frame_mat.conj().T @ y
     inner_conj = frame_mat.conj().T @ y.conj()
@@ -486,8 +450,11 @@ def strict_report(frame) -> StrictReport:
     Gram matrix contains a vector realizable as Im(y_j conj(y_k)) for some
     non-phased-real y; such a matrix is skew of rank <= 2.  A realizable
     point is sought by alternating projection between the nullspace and the
-    rank-2 skew cone (16 restarts; one projection when the nullspace is a
-    line), with failure reported as Undecided.  For M <= 3 every nonzero
+    rank-2 skew cone (one projection when the nullspace is a line; otherwise
+    16 restarts of up to 300 iterations, run in lockstep as one stack by
+    ``_kernels.skew_altproj``), with failure reported as Undecided.  The
+    witness is the lowest-index winning restart's, the one that running the
+    restarts one by one in order returns.  For M <= 3 every nonzero
     nullspace vector is realizable, so each restart realizes at its first
     projection.
     """
@@ -522,28 +489,14 @@ def strict_report(frame) -> StrictReport:
     # size <= 3 has rank 2, so at M <= 3 every first projection realizes.
     basis = np.vstack(null_vecs)  # (k, pair_dim), orthonormal rows
     restarts, max_iter = (1, 1) if nullity == 1 else (_STRICT_BUDGET, 300)
-    for restart in range(restarts):
-        rng = rng_stream(_STRICT_SEED, restart)
-        s = basis.T @ rng.standard_normal(basis.shape[0])
-        norm = np.linalg.norm(s)
-        if norm <= _EPS:
-            continue
-        s /= norm
-        realizable = False
-        for _ in range(max_iter):
-            S = _skew_from_pairs(s, m)
-            a, b, S2 = _factor_rank2_skew(S)
-            if np.linalg.norm(S - S2) <= 1e-11 * np.linalg.norm(S):
-                realizable = True
-                break
-            s3 = basis.T @ (basis @ _pairs_from_skew(S2))
-            norm3 = np.linalg.norm(s3)
-            if norm3 <= 1e-12:
-                break  # collapsed toward zero; restart
-            s = s3 / norm3
-        if not realizable:
-            continue
+
+    def wins(a, b):
         y = a + 1j * b
-        if not is_phased_real(y) and _conjugation_gap_ok(cmat, y, _STRICT_TOL):
-            return StrictReport("StrictlyCPR", witness_y=y, im_gram_nullity=nullity)
+        return not is_phased_real(y) and _conjugation_gap_ok(cmat, y, _STRICT_TOL)
+
+    starts = _restart_starts(_STRICT_SEED, restarts, nullity)
+    a, b, _, won = _kernels.skew_altproj(basis, starts, max_iter, wins)
+    if won.any():
+        r = int(np.argmax(won))
+        return StrictReport("StrictlyCPR", witness_y=a[r] + 1j * b[r], im_gram_nullity=nullity)
     return StrictReport("Undecided", None, nullity)

@@ -942,6 +942,98 @@ class TestStrictReport:
         report = conjpr.strict_report(RealFrame([[1.0, 2.0]]))
         assert report.verdict == "ComplexPRCandidate"
 
+    def test_generic_complex_5x8_undecided(self):
+        # nullity 2 in 10 pair dimensions: a generic plane misses the rank-2
+        # skew cone, so all 16 restarts fail
+        report = conjpr.strict_report(gaussian_complex_frame(rng_stream(511, 0), 5, 8))
+        assert report.verdict == "Undecided"
+        assert report.im_gram_nullity == 2
+        assert report.witness_y is None
+
+
+def gaussian_complex_frame(rng, m, n):
+    return ComplexFrame(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+
+
+class TestSkewAltproj:
+    @staticmethod
+    def strict_inputs(frame):
+        """The nullspace basis, starts and win rule that strict_report stacks."""
+        mat = frame.matrix
+        gscale = float(np.max(np.linalg.norm(mat, axis=0) ** 2))
+        null_vecs = certify_module._nullspace(im_gram(frame), certify_module.KERNEL_TOL, gscale)
+        starts = frames_io._restart_starts(
+            certify_module._STRICT_SEED, certify_module._STRICT_BUDGET, len(null_vecs)
+        )
+
+        def wins(a, b):
+            y = a + 1j * b
+            return not is_phased_real(y) and certify_module._conjugation_gap_ok(
+                mat, y, certify_module._STRICT_TOL
+            )
+
+        return np.vstack(null_vecs), starts, wins
+
+    def test_stacked_rows_match_their_runs_alone(self):
+        basis, starts, wins = self.strict_inputs(gaussian_complex_frame(rng_stream(511, 0), 5, 8))
+        starts[5] = 0.0  # a zero start is skipped
+        a, b, iters, won = _kernels.skew_altproj(basis, starts, 300, wins)
+        assert not won.any() and iters[5] == 0 and not a[5].any() and not b[5].any()
+        assert np.all(iters[starts.any(axis=1)] > 0)
+        for r in range(len(starts)):
+            a1, b1, iters1, _ = _kernels.skew_altproj(basis, starts[r : r + 1], 300, wins)
+            assert np.array_equal(a[r], a1[0]) and np.array_equal(b[r], b1[0])
+            assert iters[r] == iters1[0]
+
+    def test_lowest_win_is_the_answer(self):
+        # alone, restart 0 fails and 1, 8 and 15 win; 8 and 15 win sooner
+        # than 1, which still runs on and gives the witness
+        frame = gaussian_complex_frame(rng_stream(509, 500), 5, 6)
+        basis, starts, wins = self.strict_inputs(frame)
+        alone = [_kernels.skew_altproj(basis, starts[r : r + 1], 300, wins) for r in range(16)]
+        assert [r for r in range(16) if alone[r][3][0]] == [1, 8, 15]
+        assert alone[15][2][0] < alone[8][2][0] < alone[1][2][0]
+        a, b, iters, won = _kernels.skew_altproj(basis, starts, 300, wins)
+        assert np.flatnonzero(won).tolist() == [1, 8, 15]
+        for r in (1, 8, 15):
+            assert np.array_equal(a[r], alone[r][0][0]) and np.array_equal(b[r], alone[r][1][0])
+            assert iters[r] == alone[r][2][0]
+        # the restarts between two wins stop when the lower one wins
+        assert np.all(iters[9:15] == iters[8]) and np.all(iters[2:8] == iters[1])
+        report = conjpr.strict_report(frame)
+        assert report.verdict == "StrictlyCPR" and report.im_gram_nullity == 4
+        assert np.array_equal(report.witness_y, alone[1][0][0] + 1j * alone[1][1][0])
+
+    @staticmethod
+    def factor_one(S):
+        """Reference: the top rotation block of one skew matrix, vector by vector."""
+        w, Z = np.linalg.eig(S)
+        z = Z[:, int(np.argmax(w.imag))]
+        u1 = z.real / np.linalg.norm(z.real)
+        q_perp = z.imag - np.dot(z.imag, u1) * u1
+        u2 = q_perp / np.linalg.norm(q_perp)
+        gamma = float(u1 @ S @ u2)
+        if gamma < 0.0:
+            u1, u2, gamma = u2, u1, -gamma
+        a, b = u2 * np.sqrt(gamma), u1 * np.sqrt(gamma)
+        return a, b, np.outer(b, a) - np.outer(a, b)
+
+    def test_stacked_factor_matches_each(self):
+        A = rng_stream(510, 0).standard_normal((3, 4, 6, 6))
+        S = A - np.swapaxes(A, -1, -2)
+        a, b, S2 = _kernels._factor_rank2_skew(S)
+        assert a.shape == b.shape == (3, 4, 6) and S2.shape == S.shape
+        for idx in np.ndindex(3, 4):
+            a1, b1, S21 = _kernels._factor_rank2_skew(S[idx])
+            assert np.array_equal(a[idx], a1) and np.array_equal(b[idx], b1)
+            assert np.array_equal(S2[idx], S21)
+            ref = self.factor_one(S[idx])
+            assert all(np.array_equal(x, y) for x, y in zip((a1, b1, S21), ref))
+            # y = a + ib realizes S2: Im(y_j conj(y_k)) = S2[j, k]
+            np.testing.assert_allclose(
+                im_products(a1 + 1j * b1), _kernels._pairs_from_skew(S21), atol=1e-12
+            )
+
 
 class TestImSumIdentity:
     def test_three_hundred_random(self):
