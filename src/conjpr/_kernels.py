@@ -208,17 +208,20 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
     return V[r], res[r], max_iter, r, False
 
 
-def _skew_from_pairs(s, m):
-    """Skew matrices (..., m, m) whose upper triangles, row by row, are s (..., m(m-1)/2)."""
-    iu, ju = np.triu_indices(m, k=1)
+def _skew_from_pairs(s, m, upper):
+    """Skew matrices (..., m, m) whose upper triangles, row by row, are s (..., m(m-1)/2).
+
+    ``upper`` is ``np.triu_indices(m, k=1)``, computed once by the caller.
+    """
+    iu, ju = upper
     S = np.zeros(s.shape[:-1] + (m, m))
     S[..., iu, ju] = s
     S[..., ju, iu] = -s
     return S
 
 
-def _pairs_from_skew(S):
-    iu, ju = np.triu_indices(S.shape[-1], k=1)
+def _pairs_from_skew(S, upper):
+    iu, ju = upper
     return S[..., iu, ju]
 
 
@@ -274,16 +277,17 @@ def skew_altproj(basis, starts, max_iter, wins):
     s = (basis.T @ starts[..., None])[..., 0]
     norm = np.sqrt(_row_dot(s, s))
     keep = norm > _EPS
+    upper = np.triu_indices(m, k=1)
     for it in range(1, max_iter + 1):
         live, s = live[keep], s[keep] / norm[keep, None]
         if live.size == 0:
             break
-        S = _skew_from_pairs(s, m)
+        S = _skew_from_pairs(s, m, upper)
         al, bl, S2 = _factor_rank2_skew(S)
         a[live], b[live], iters[live] = al, bl, it
         D, F = (S - S2).reshape(live.size, -1), S.reshape(live.size, -1)
         realized = np.sqrt(_row_dot(D, D)) <= 1e-11 * np.sqrt(_row_dot(F, F))
-        s = (basis.T @ (basis @ _pairs_from_skew(S2)[..., None]))[..., 0]
+        s = (basis.T @ (basis @ _pairs_from_skew(S2, upper)[..., None]))[..., 0]
         norm = np.sqrt(_row_dot(s, s))
         keep = ~realized & (norm > 1e-12)
         for r in np.flatnonzero(realized):
