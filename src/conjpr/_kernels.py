@@ -229,23 +229,18 @@ def _factor_rank2_skew(S):
     """Top rotation block of skew matrices (..., m, m): returns (a, b, S2).
 
     S2 = b a^T - a b^T is the nearest rank-2 skew matrix, so y = a + i b has
-    Im(y_j conj(y_k)) equal to the entries of S2.  Leading axes stack
-    matrices; each is factored with the same bits as on its own.
+    Im(y_j conj(y_k)) equal to the entries of S2.  One real symmetric eigh of
+    S^T S = -S^2 gives a unit u1 in the top eigenspace, whose top rotation
+    plane is spanned by u1 and w = S^T u1, with |w| = sigma_1.  Taking the
+    plane from u1 alone keeps S2 nearest when sigma_1 = sigma_2, where that
+    eigenspace is 4-dimensional.  Leading axes stack matrices; each is
+    factored with the same bits as on its own.
     """
-    w, Z = np.linalg.eig(S)
-    k = np.argmax(w.imag, axis=-1)
-    z = np.take_along_axis(Z, k[..., None, None], axis=-1)[..., 0]
-    # p is copied so that |p| carries the bits of np.linalg.norm(p), which sums
-    # a contiguous copy; BLAS sums a strided vector in another order.
-    p, q = np.ascontiguousarray(z.real), z.imag
-    u1 = p / np.sqrt(_row_dot(p, p))[..., None]
-    q_perp = q - _row_dot(q, u1)[..., None] * u1
-    u2 = q_perp / np.sqrt(_row_dot(q_perp, q_perp))[..., None]
-    gamma = (u1[..., None, :] @ S @ u2[..., :, None])[..., 0, 0]
-    flip = (gamma < 0.0)[..., None]
-    u1, u2 = np.where(flip, u2, u1), np.where(flip, u1, u2)
-    root = np.sqrt(np.abs(gamma))[..., None]
-    a, b = u2 * root, u1 * root
+    _, V = np.linalg.eigh(np.swapaxes(S, -1, -2) @ S)
+    u1 = V[..., -1]
+    w = (u1[..., None, :] @ S)[..., 0, :]
+    root = np.sqrt(np.sqrt(_row_dot(w, w)))[..., None]
+    a, b = w / root, u1 * root
     return a, b, b[..., :, None] * a[..., None, :] - a[..., :, None] * b[..., None, :]
 
 
@@ -256,7 +251,7 @@ def skew_altproj(basis, starts, max_iter, wins):
     basis^T starts[r] (starts is (restarts, k)), normalized, and is skipped if
     that is zero.  Each iteration factors every live restart's skew matrix S
     into its nearest rank-2 skew matrix S2 = b a^T - a b^T, with one stacked
-    eig, then projects S2 onto the row space of ``basis`` and normalizes.
+    real eigh of S^T S, then projects S2 onto the row space of ``basis`` and normalizes.
 
     A restart stops when S is realized (|S - S2| <= 1e-11 |S|), when its
     projection collapses (norm <= 1e-12), or after ``max_iter``

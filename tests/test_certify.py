@@ -1006,7 +1006,7 @@ class TestSkewAltproj:
 
     @staticmethod
     def factor_one(S):
-        """Reference: the top rotation block of one skew matrix, vector by vector."""
+        """Reference: the top rotation block of one skew matrix, from its complex eig."""
         w, Z = np.linalg.eig(S)
         z = Z[:, int(np.argmax(w.imag))]
         u1 = z.real / np.linalg.norm(z.real)
@@ -1018,6 +1018,19 @@ class TestSkewAltproj:
         a, b = u2 * np.sqrt(gamma), u1 * np.sqrt(gamma)
         return a, b, np.outer(b, a) - np.outer(a, b)
 
+    @staticmethod
+    def assert_nearest_rank2(S, a, b, S2):
+        """S2 = b a^T - a b^T, y = a + ib realizes it, and S2 is nearest (Eckart-Young)."""
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        assert np.array_equal(S2, np.outer(b, a) - np.outer(a, b))
+        upper = np.triu_indices(S.shape[-1], k=1)
+        np.testing.assert_allclose(
+            im_products(a + 1j * b), _kernels._pairs_from_skew(S2, upper), atol=1e-12
+        )
+        sigma = np.linalg.svd(S, compute_uv=False)
+        dist2 = np.sum((S - S2) ** 2)
+        assert abs(dist2 - np.sum(sigma[2:] ** 2)) <= 1e-12 * np.sum(sigma**2)
+
     def test_stacked_factor_matches_each(self):
         A = rng_stream(510, 0).standard_normal((3, 4, 6, 6))
         S = A - np.swapaxes(A, -1, -2)
@@ -1027,12 +1040,25 @@ class TestSkewAltproj:
             a1, b1, S21 = _kernels._factor_rank2_skew(S[idx])
             assert np.array_equal(a[idx], a1) and np.array_equal(b[idx], b1)
             assert np.array_equal(S2[idx], S21)
-            ref = self.factor_one(S[idx])
-            assert all(np.array_equal(x, y) for x, y in zip((a1, b1, S21), ref))
-            # y = a + ib realizes S2: Im(y_j conj(y_k)) = S2[j, k]
-            np.testing.assert_allclose(
-                im_products(a1 + 1j * b1), _kernels._pairs_from_skew(S21, np.triu_indices(6, k=1)), atol=1e-12
-            )
+            # the eig reference factors the same plane: y agrees up to a global phase
+            ra, rb, rS2 = self.factor_one(S[idx])
+            y, ref = a1 + 1j * b1, ra + 1j * rb
+            phase = np.vdot(y, ref) / abs(np.vdot(y, ref))
+            assert np.linalg.norm(ref - phase * y) <= 1e-12 * np.linalg.norm(ref)
+            np.testing.assert_allclose(S21, rS2, rtol=0, atol=1e-12 * np.linalg.norm(S[idx]))
+            self.assert_nearest_rank2(S[idx], a1, b1, S21)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_equal_top_rotations(self, m):
+        # two equal rotation blocks: sigma_1 = sigma_2, and the top eigenspace
+        # of S^T S is 4-dimensional
+        Q = random_orthogonal(rng_stream(512, m), m)
+        B = np.zeros((m, m))
+        B[0, 1] = B[2, 3] = 1.5
+        S = Q @ (B - B.T) @ Q.T
+        a, b, S2 = _kernels._factor_rank2_skew(S)
+        self.assert_nearest_rank2(S, a, b, S2)
+        assert abs(np.sum((S - S2) ** 2) - np.sum(S**2) / 2) <= 1e-12 * np.sum(S**2)
 
 
 class TestImSumIdentity:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +20,8 @@ from conjpr import (
 import conjpr
 from conjpr import frames_io
 from conjpr.cli import main
+
+certify_module = importlib.import_module("conjpr.certify")
 
 FRAME_2X3 = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
 
@@ -361,6 +364,24 @@ class TestStrict:
         code, stdout, _ = run(capsys, "strict", str(path))
         assert code == 0
         assert "ComplexPRCandidate" in stdout
+
+    def test_complex_multi_restart_witness(self, tmp_path, capsys):
+        # nullity 4: the 16-restart skew stack runs, and restart 1 wins
+        rng = rng_stream(509, 500)
+        path = tmp_path / "cf.json"
+        frames_io.save_frame(
+            ComplexFrame(rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))),
+            path,
+        )
+        code, first, _ = run(capsys, "strict", str(path), "--json")
+        assert code == 0
+        code, second, _ = run(capsys, "strict", str(path), "--json")
+        assert code == 0 and second == first
+        doc = json.loads(first)
+        assert doc["verdict"] == "StrictlyCPR" and doc["im_gram_nullity"] == 4
+        y = np.array([re + 1j * im for re, im in doc["witness_y"]])
+        mat = frames_io.load_frame(path).matrix
+        assert certify_module._conjugation_gap_ok(mat, y, certify_module._STRICT_TOL)
 
 
 class TestMalformedFiles:
