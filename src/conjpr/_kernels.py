@@ -15,9 +15,10 @@ Three kernels live here:
   imaginary Gram matrix and the cone of rank-2 skew matrices, all restarts
   in lockstep as one stack.
 
-Each alternating projection makes one stacked eigendecomposition per
-iteration and takes every other product restart by restart, so a restart's
-iterates carry the same bits as when it runs alone.
+Each alternating projection makes one stacked real symmetric eigh per
+iteration (of the lift, or of S^T S for a skew S) and takes every other
+product restart by restart, so a restart's iterates carry the same bits as
+when it runs alone.
 """
 
 from __future__ import annotations
@@ -251,7 +252,8 @@ def skew_altproj(basis, starts, max_iter, wins):
     basis^T starts[r] (starts is (restarts, k)), normalized, and is skipped if
     that is zero.  Each iteration factors every live restart's skew matrix S
     into its nearest rank-2 skew matrix S2 = b a^T - a b^T, with one stacked
-    real eigh of S^T S, then projects S2 onto the row space of ``basis`` and normalizes.
+    real eigh of S^T S (``_factor_rank2_skew``), then projects S2 onto the
+    row space of ``basis`` and normalizes.
 
     A restart stops when S is realized (|S - S2| <= 1e-11 |S|), when its
     projection collapses (norm <= 1e-12), or after ``max_iter``
