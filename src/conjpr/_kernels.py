@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lift import _dim_from_lift, _half_indices, _symmetric
+from .lift import _dim_from_lift, _half_indices, devectorize, vectorize
 from .witness import ZERO_EIG_TOL
 
 #: A restart hits when every residual eigenvalue of its unit K is at most
@@ -151,8 +151,6 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
 
     Returns per-restart arrays (v, residual, iterations, converged).
     """
-    m = _dim_from_lift(V.shape[1])
-    rows, cols = index = _half_indices(m)
     out = V.copy()
     res = np.full(V.shape[0], np.inf)
     iters = np.zeros(V.shape[0], dtype=np.int64)
@@ -163,7 +161,7 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
         if live.size == 0:
             break
         v = v - (pinv @ gap[..., None])[..., 0]
-        v = rank2_psd_project(_symmetric(v, m, index))[..., rows, cols]
+        v = vectorize(rank2_psd_project(devectorize(v)))
         gap = (omega @ v[..., None])[..., 0] - b
         # a dot product per restart: the bits of np.linalg.norm on each row
         r = np.sqrt(_row_dot(gap, gap))
@@ -209,21 +207,19 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
     return V[r], res[r], max_iter, r, False
 
 
-def _skew_from_pairs(s, m, upper):
-    """Skew matrices (..., m, m) whose upper triangles, row by row, are s (..., m(m-1)/2).
-
-    ``upper`` is ``np.triu_indices(m, k=1)``, computed once by the caller.
-    """
-    iu, ju = upper
+def _skew_from_pairs(s, m):
+    """Skew matrices (..., m, m) whose pairs j < k (``_half_indices(m)`` from m on) are s."""
+    rows, cols = _half_indices(m)
     S = np.zeros(s.shape[:-1] + (m, m))
-    S[..., iu, ju] = s
-    S[..., ju, iu] = -s
+    S[..., rows[m:], cols[m:]] = s
+    S[..., cols[m:], rows[m:]] = -s
     return S
 
 
-def _pairs_from_skew(S, upper):
-    iu, ju = upper
-    return S[..., iu, ju]
+def _pairs_from_skew(S):
+    m = S.shape[-1]
+    rows, cols = _half_indices(m)
+    return S[..., rows[m:], cols[m:]]
 
 
 def _factor_rank2_skew(S):
@@ -274,17 +270,16 @@ def skew_altproj(basis, starts, max_iter, wins):
     s = (basis.T @ starts[..., None])[..., 0]
     norm = np.sqrt(_row_dot(s, s))
     keep = norm > _EPS
-    upper = np.triu_indices(m, k=1)
     for it in range(1, max_iter + 1):
         live, s = live[keep], s[keep] / norm[keep, None]
         if live.size == 0:
             break
-        S = _skew_from_pairs(s, m, upper)
+        S = _skew_from_pairs(s, m)
         al, bl, S2 = _factor_rank2_skew(S)
         a[live], b[live], iters[live] = al, bl, it
         D, F = (S - S2).reshape(live.size, -1), S.reshape(live.size, -1)
         realized = np.sqrt(_row_dot(D, D)) <= 1e-11 * np.sqrt(_row_dot(F, F))
-        s = (basis.T @ (basis @ _pairs_from_skew(S2, upper)[..., None]))[..., 0]
+        s = (basis.T @ (basis @ _pairs_from_skew(S2)[..., None]))[..., 0]
         norm = np.sqrt(_row_dot(s, s))
         keep = ~realized & (norm > 1e-12)
         for r in np.flatnonzero(realized):

@@ -49,7 +49,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts
-from .lift import lift_dim, devectorize, numeric_rank, omega_matrix
+from .lift import _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix
 # witness_general is no longer called here (the ladder splits its own
 # eigendecomposition) but stays a conjpr.certify attribute, which
 # perfbench/tracing.py wraps.
@@ -299,7 +299,7 @@ def _kernel_matrices(basis: list, m: int) -> np.ndarray:
     weight = np.full(lift_dim(m), np.sqrt(2.0))
     weight[:m] = 1.0
     q, _ = np.linalg.qr(weight[:, None] * np.array(basis).T)
-    return np.stack([devectorize(v) for v in (q / weight[:, None]).T])
+    return devectorize((q / weight[:, None]).T)
 
 
 def _search_with_stats(frame, basis: list, budget: int, seed: int):
@@ -429,8 +429,9 @@ def im_gram(frame) -> np.ndarray:
     nullspace.
     """
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
-    iu, ju = np.triu_indices(mat.shape[0], k=1)
-    return np.imag(mat[iu].conj() * mat[ju]).T
+    m = mat.shape[0]
+    rows, cols = _half_indices(m)
+    return np.imag(mat[rows[m:]].conj() * mat[cols[m:]]).T
 
 
 def _conjugation_gap_ok(frame_mat: np.ndarray, y: np.ndarray, tol: float) -> bool:

@@ -14,9 +14,14 @@ orderings of the same matrix (e.g. listing each diagonal entry next to its
 row) only permute columns of the lifted operator; determinant vanishing and
 kernels are unaffected, but raw determinant *signs* do depend on this
 choice.
+
+Its index arrays are built once per M (``_half_indices``); from position M on
+they list the pairs j < k of ``algebra.im_products``.  The codec takes stacks.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,23 +44,17 @@ def _dim_from_lift(length: int) -> int:
     return m
 
 
+@functools.cache
 def _half_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of the diagonal-first layout: Q[index] is v(Q)."""
+    """Read-only row and column index arrays of the layout: Q[..., rows, cols] is v(Q).
+
+    Built once per m.  From position m on they list the pairs j < k row by row.
+    """
     iu, ju = np.triu_indices(m, k=1)
     diag = np.arange(m)
-    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
-
-
-def _symmetric(v: np.ndarray, m: int, index) -> np.ndarray:
-    """Symmetric m x m matrices Q with Q[..., rows, cols] = v, for index = _half_indices(m).
-
-    ``v`` may stack lift vectors on leading axes; Q stacks the matrices alike.
-    """
-    rows, cols = index
-    Q = np.empty(v.shape[:-1] + (m, m))
-    Q[..., rows, cols] = v
-    Q[..., cols, rows] = v
-    return Q
+    rows, cols = np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _frame_matrix(frame) -> np.ndarray:
@@ -71,20 +70,24 @@ def omega(phi) -> np.ndarray:
 
 
 def vectorize(Q) -> np.ndarray:
-    """Half-vectorize a symmetric matrix (diagonal first, then upper rows)."""
+    """Half-vectorize symmetric matrices (..., m, m): diagonal first, then upper rows."""
     Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
-    return Q[_half_indices(Q.shape[0])]
+    if Q.ndim < 2 or Q.shape[-1] != Q.shape[-2]:
+        raise ValidationError(f"expected square matrices, got shape {Q.shape}")
+    return Q[(..., *_half_indices(Q.shape[-1]))]
 
 
 def devectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the result is exactly symmetric."""
+    """Inverse of :func:`vectorize` over the last axis; each result is exactly symmetric."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError("lift vector must be 1-D")
-    m = _dim_from_lift(v.shape[0])
-    return _symmetric(v, m, _half_indices(m))
+    if v.ndim < 1:
+        raise ValidationError("lift vector must have at least one axis")
+    m = _dim_from_lift(v.shape[-1])
+    rows, cols = _half_indices(m)
+    Q = np.empty(v.shape[:-1] + (m, m))
+    Q[..., rows, cols] = v
+    Q[..., cols, rows] = v
+    return Q
 
 
 def omega_matrix(frame) -> np.ndarray:
