@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .frames_io import _check_tol
 
 #: Default relative tolerance for equivalence and phase tests.
 DEFAULT_TOL = 1e-9
@@ -59,8 +60,7 @@ def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
 
 def phase_equivalent(x, y, tol: float = DEFAULT_TOL) -> bool:
     """True iff x = e^{i theta} y for some theta, i.e. x x* = y y*."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    tol = _check_tol(tol, positive=True)
     x, y = as_signal(x), as_signal(y)
     _check_same_dim(x, y)
     gap = np.linalg.norm(np.outer(x, x.conj()) - np.outer(y, y.conj()))
@@ -73,8 +73,7 @@ def conj_equivalent(x, y, tol: float = DEFAULT_TOL) -> bool:
     Equivalent to Re(x x*) = Re(y y*), tested in Frobenius norm relative
     to max(|x|^2, |y|^2).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    tol = _check_tol(tol, positive=True)
     x, y = as_signal(x), as_signal(y)
     _check_same_dim(x, y)
     gap = np.linalg.norm(real_lift(x) - real_lift(y))
@@ -111,8 +110,7 @@ def is_phased_real(y, tol: float = DEFAULT_TOL) -> bool:
     Tested via max_{j<k} |Im(y_j conj(y_k))| <= tol * |y|^2; the zero vector
     counts as phased real.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    tol = _check_tol(tol, positive=True)
     y = as_signal(y)
     if y.shape[0] == 1:
         return True
@@ -152,6 +150,7 @@ def canonical_rep(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     stability under perturbation holds only where the modulus maximum is
     strict (ties resolve by index and are almost-everywhere irrelevant).
     """
+    tol = _check_tol(tol, positive=False)
     x = as_signal(x)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:

@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
     WrongDimensionError,
 )
-from .frames_io import ComplexFrame, RealFrame, _check_int, _restart_starts
+from .frames_io import ComplexFrame, RealFrame, _check_int, _check_tol, _restart_starts
 from .lift import _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix
 # witness_general is no longer called here (the ladder splits its own
 # eigendecomposition) but stays a conjpr.certify attribute, which
@@ -204,6 +204,7 @@ def _nullspace(mat: np.ndarray, tol: float, floor: float = 0.0) -> list[np.ndarr
 
 def kernel_basis(omega, tol: float = KERNEL_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical nullspace of the lifted operator."""
+    tol = _check_tol(tol, positive=False)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2:
         raise ValidationError("omega must be a matrix")
@@ -429,6 +430,8 @@ def im_gram(frame) -> np.ndarray:
     nullspace.
     """
     mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("phi has non-finite entries")
     m = mat.shape[0]
     rows, cols = _half_indices(m)
     return np.imag(mat[rows[m:]].conj() * mat[cols[m:]]).T
@@ -457,9 +460,13 @@ def strict_report(frame) -> StrictReport:
     witness is the lowest-index winning restart's, the one that running the
     restarts one by one in order returns.  For M <= 3 every nonzero
     nullspace vector is realizable, so each restart realizes at its first
-    projection.
+    projection.  Anything but a frame is checked as one: a ComplexFrame, or a
+    RealFrame when it is real.
     """
-    mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+    if not isinstance(frame, (RealFrame, ComplexFrame)):
+        mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+        frame = (ComplexFrame if np.iscomplexobj(mat) else RealFrame)(mat)
+    mat = frame.matrix
     m, n = mat.shape
     if m == 1:
         # every scalar is phased real; conjugation is invisible but harmless

@@ -42,6 +42,18 @@ def _check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _check_tol(value, positive: bool) -> float:
+    """The one check of a tolerance: a finite real, never a bool, > 0 if ``positive`` else >= 0.
+
+    Every public ``tol`` argument passes through it.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "above 0" if positive else "of at least 0"
+        raise ValidationError(f"tol must be a finite number {bound}, got {value!r}")
+    return float(value)
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic PCG64 generator for (seed, stream-index); the seed is an integer >= 0."""
     return np.random.default_rng(

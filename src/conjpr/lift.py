@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import as_signal
 from .errors import DimensionMismatchError, ValidationError
-from .frames_io import Measurement
+from .frames_io import Measurement, _check_tol, rng_stream
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -120,8 +120,9 @@ def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement
     """Magnitude-squared measurements b_k = |<x, phi_k>|^2.
 
     With ``noise_sigma`` set, adds i.i.d. Gaussian noise of standard
-    deviation noise_sigma * mean(b); pass ``rng`` (Generator or int seed)
-    for a reproducible draw.
+    deviation noise_sigma * mean(b); pass ``rng`` (a Generator, or an integer
+    seed s >= 0 for the stream ``rng_stream(s, 0)`` that ``cpr measure --seed s``
+    draws from) for a reproducible draw.
     """
     mat = _frame_matrix(frame)
     x = as_signal(x)
@@ -139,8 +140,8 @@ def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement
     if noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng()
-        elif isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=int(rng)))
+        elif not isinstance(rng, np.random.Generator):
+            rng = rng_stream(rng, 0)
         scale = noise_sigma * float(np.mean(values))
         values = values + rng.standard_normal(values.shape[0]) * scale
     return Measurement(values, float(noise_sigma))
@@ -152,6 +153,7 @@ def numeric_rank(Q, tol: float | None = None) -> int:
     Default tol is m * eps * 64, sized so exact low-rank structure is never
     over-counted at double precision.
     """
+    tol = None if tol is None else _check_tol(tol, positive=False)
     Q = np.atleast_2d(np.asarray(Q))
     sv = np.linalg.svd(Q, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:

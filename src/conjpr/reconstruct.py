@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import canonical_rep, real_lift
+from .certify import KERNEL_TOL
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
-from .frames_io import Measurement, _check_int, _restart_starts
+from .frames_io import Measurement, _check_int, _check_tol, _restart_starts
 from .lift import devectorize, measure, omega_matrix, vectorize
 from . import _kernels
 from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
@@ -95,6 +96,7 @@ def factor_rank2(Q, tol: float = PSD_TOL) -> np.ndarray:
     If Q is exactly some signal's lift, the result is conjugate equivalent
     to that signal.  Q must be exactly symmetric.
     """
+    tol = _check_tol(tol, positive=False)
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {Q.shape}")
@@ -128,6 +130,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
     relative to its norm, before the measurements are declared inconsistent
     (NotPSDError); with noisy data pass a tolerance matched to the noise.
     """
+    tol = _check_tol(tol, positive=False)
     bvals = _values(b)
     om = omega_matrix(frame)
     n, L = om.shape
@@ -139,7 +142,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
             "use reconstruct_altproj"
         )
     sv = np.linalg.svd(om, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= KERNEL_TOL * sv[0]:
         raise UnderdeterminedError("lifted operator is numerically rank deficient")
     v = np.linalg.lstsq(om, bvals, rcond=None)[0]
     Q = devectorize(v)
@@ -173,9 +176,7 @@ def reconstruct_altproj(
     max_iter = _check_int(max_iter, "max_iter", 1)
     restarts = _check_int(restarts, "restarts", 1)
     seed = _check_int(seed, "seed", 0)
-    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    if not (real and 0.0 <= tol < np.inf):
-        raise ValidationError(f"tol must be a finite number of at least 0, got {tol!r}")
+    tol = _check_tol(tol, positive=False)
     bvals = _values(b)
     om = omega_matrix(frame)
     n, L = om.shape

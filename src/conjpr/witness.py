@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import real_lift
 from .errors import DefiniteInputError, ValidationError
-from .frames_io import RealFrame
+from .frames_io import RealFrame, _check_tol
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -118,6 +118,7 @@ def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:
     more of one sign (no pair realizes it).  The pair is the spectral split
     at every size, with the zeroed eigenvalues left out.
     """
+    tol = _check_tol(tol, positive=False)
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"target must be square, got shape {H.shape}")

@@ -31,6 +31,7 @@ from conjpr import (
     rng_stream,
     vectorize,
 )
+from conjpr.lift import devectorize, lift_dim
 from conjpr.certify import (
     SEARCH_DISTANCE,
     _SEARCH_GAP_TOL,
@@ -655,8 +656,14 @@ class TestPairSearchKernel:
 
     def test_kernel_matrices_frobenius_orthonormal(self):
         f = random_frame(6, 16, seed=5)
-        H = _kernel_matrices(kernel_basis(omega_matrix(f)), 6)
+        basis = kernel_basis(omega_matrix(f))
+        H = _kernel_matrices(basis, 6)
         assert H.shape == (5, 6, 6)
+        # the one stacked devectorize gives the per-vector matrices' bits
+        weight = np.full(lift_dim(6), np.sqrt(2.0))
+        weight[:6] = 1.0
+        q, _ = np.linalg.qr(weight[:, None] * np.array(basis).T)
+        assert np.array_equal(H, np.stack([devectorize(v) for v in (q / weight[:, None]).T]))
         assert np.allclose(np.einsum("iab,jab->ij", H, H), np.eye(5), atol=1e-12)
         assert np.array_equal(H, H.transpose(0, 2, 1))
         assert np.max(np.abs(np.einsum("an,iab,bn->in", f.matrix, H, f.matrix))) < 1e-12
@@ -878,6 +885,18 @@ def frame_blind_to(rng, y0, n):
 
 
 class TestStrictReport:
+    def test_raw_array_checked_as_frame(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            conjpr.strict_report(np.array([[1, np.nan], [0, 1j]]))
+        with pytest.raises(ValidationError, match="does not span"):
+            conjpr.strict_report(np.array([[1, 1j], [1, 1j]]))
+        report = conjpr.strict_report(FRAME_2X3.matrix)
+        assert report.verdict == "StrictlyCPR" and report.im_gram_nullity == 1
+
+    def test_im_gram_rejects_nonfinite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            im_gram(np.array([[1, np.inf], [0, 1j]]))
+
     def test_real_frame(self):
         report = conjpr.strict_report(FRAME_2X3)
         assert report.verdict == "StrictlyCPR"

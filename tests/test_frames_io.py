@@ -10,17 +10,50 @@ from conjpr import (
     ComplexFrame,
     Measurement,
     RealFrame,
+    canonical_rep,
     certify,
+    conj_equivalent,
+    cone_frame,
+    factor_rank2,
     frame_bounds,
     generic_cpr_size,
+    is_phased_real,
+    kernel_basis,
     measure,
+    numeric_rank,
+    omega_matrix,
+    phase_equivalent,
     random_frame,
+    reconstruct_altproj,
+    reconstruct_linear,
     rng_stream,
+    witness_general,
 )
 from conjpr import frames_io
 from conjpr.errors import FileFormatError, ValidationError
 
 INF = float("inf")
+
+_X = np.array([1.0, 1.0j])
+_LIN = random_frame(2, 3)
+
+#: Every public tol argument, called on inputs that pass at a valid tol; the
+#: first four require tol > 0, the others tol >= 0.
+TOL_CALLS = {
+    "phase_equivalent": lambda tol: phase_equivalent(_X, _X, tol=tol),
+    "conj_equivalent": lambda tol: conj_equivalent(_X, _X, tol=tol),
+    "is_phased_real": lambda tol: is_phased_real([1.0, 1.0], tol=tol),
+    "canonical_rep": lambda tol: canonical_rep(_X, tol=tol),
+    "kernel_basis": lambda tol: kernel_basis(omega_matrix(cone_frame(6)), tol=tol),
+    "numeric_rank": lambda tol: numeric_rank(np.eye(3), tol=tol),
+    "witness_general": lambda tol: witness_general(np.diag([1.0, -1.0]), tol=tol),
+    "factor_rank2": lambda tol: factor_rank2(np.eye(2), tol=tol),
+    "reconstruct_linear": lambda tol: reconstruct_linear(_LIN, measure(_LIN, _X), tol=tol),
+    "reconstruct_altproj": lambda tol: reconstruct_altproj(
+        _LIN, measure(_LIN, _X), max_iter=3, restarts=2, tol=tol
+    ),
+}
+POSITIVE_TOL = ("phase_equivalent", "conj_equivalent", "is_phased_real")
 
 #: A valid document per loader; TestErrors corrupts one field at a time.
 VALID_DOCS = {
@@ -98,6 +131,24 @@ class TestFrameTypes:
             Measurement(np.array([1.0]), noise_sigma=-1.0)
         with pytest.raises(ValidationError):
             Measurement(np.array([1.0]), noise_sigma=float("nan"))
+
+
+class TestCheckTol:
+    @pytest.mark.parametrize("name", sorted(TOL_CALLS))
+    @pytest.mark.parametrize("tol", [float("nan"), INF, -1, True, "1e-9"])
+    def test_invalid_tolerance_raises(self, name, tol):
+        with pytest.raises(ValidationError, match="tol must be a finite number"):
+            TOL_CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(TOL_CALLS))
+    def test_zero_only_where_nonnegative(self, name):
+        TOL_CALLS[name](1e-9)
+        TOL_CALLS[name](np.float64(1e-9))
+        if name in POSITIVE_TOL:
+            with pytest.raises(ValidationError, match="above 0"):
+                TOL_CALLS[name](0)
+        else:
+            TOL_CALLS[name](0)
 
 
 class TestRandomFrame:

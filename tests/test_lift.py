@@ -17,6 +17,7 @@ from conjpr import (
     vectorize,
 )
 from conjpr.errors import DimensionMismatchError, ValidationError
+from conjpr.lift import _half_indices
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -63,6 +64,31 @@ class TestVectorize:
     def test_bad_length(self):
         with pytest.raises(ValidationError):
             devectorize(np.ones(4))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stacks_match_each_matrix(self, m):
+        A = rng_stream(209, m).standard_normal((3, 4, m, m))
+        Q = A + np.swapaxes(A, -1, -2)
+        v = vectorize(Q)
+        assert v.shape == (3, 4, lift_dim(m))
+        back = devectorize(v)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(v[idx], vectorize(Q[idx]))
+            assert np.array_equal(back[idx], devectorize(v[idx]))
+        assert np.array_equal(back, Q)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_layout_built_once_and_read_only(self, m):
+        rows, cols = _half_indices(m)
+        again = _half_indices(m)
+        assert again[0] is rows and again[1] is cols
+        np.testing.assert_array_equal(rows[:m], np.arange(m))
+        np.testing.assert_array_equal(cols[:m], np.arange(m))
+        iu, ju = np.triu_indices(m, k=1)
+        assert np.array_equal(rows[m:], iu) and np.array_equal(cols[m:], ju)
+        for arr in (rows, cols):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestOmegaMatrix:
@@ -162,6 +188,17 @@ class TestMeasure:
         np.testing.assert_array_equal(a.values, b.values)
         clean = measure(FRAME_2X3, x).values
         assert np.any(a.values != clean)
+
+    def test_integer_seed_draws_stream_zero(self):
+        x = [1.0, 1.0j]
+        a = measure(FRAME_2X3, x, noise_sigma=0.1, rng=5)
+        b = measure(FRAME_2X3, x, noise_sigma=0.1, rng=rng_stream(5, 0))
+        np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [True, -1, 2.5])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError):
+            measure(FRAME_2X3, [1.0, 1.0j], noise_sigma=0.1, rng=seed)
 
     def test_complex_frame_inner_product_convention(self):
         # <x, phi> = sum x_j conj(phi_j)

@@ -7,7 +7,9 @@ from conjpr import (
     Measurement,
     RealFrame,
     canonical_rep,
+    certify,
     conj_class_distance,
+    cone_frame,
     conj_equivalent,
     factor_rank2,
     is_phased_real,
@@ -124,6 +126,22 @@ class TestReconstructLinear:
         f = random_frame(4, 9, seed=23)
         with pytest.raises(UnderdeterminedError):
             reconstruct_linear(f, Measurement(np.ones(9)))
+
+    def test_underdetermined_exactly_when_kernel(self):
+        # one rank rule: reconstruct_linear refuses exactly the frames whose
+        # lift certify finds a kernel in
+        frames = [cone_frame(6)]
+        for m in range(2, 6):
+            L = lift_dim(m)
+            frames += [random_frame(m, n, seed=n) for n in range(max(m, L - 2), L + 4)]
+        rng = rng_stream(640, 0)
+        for f in frames:
+            b = measure(f, random_signal(rng, f.m))
+            if certify(f).kernel_dim > 0:
+                with pytest.raises(UnderdeterminedError):
+                    reconstruct_linear(f, b)
+            else:
+                assert reconstruct_linear(f, b).converged
 
     def test_inconsistent_measurements_not_psd(self):
         bad = Measurement(np.array([1.0, 1.0, -5.0]), noise_sigma=1.0)
