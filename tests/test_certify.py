@@ -19,19 +19,20 @@ from conjpr import (
     certify,
     complement_property,
     conj_class_distance,
+    devectorize,
     falsify_exact,
     falsify_search,
     im_gram,
     im_products,
     is_phased_real,
     kernel_basis,
+    lift_dim,
     numeric_rank,
     omega_matrix,
     random_frame,
     rng_stream,
     vectorize,
 )
-from conjpr.lift import devectorize, lift_dim
 from conjpr.certify import (
     SEARCH_DISTANCE,
     _SEARCH_GAP_TOL,

@@ -12,8 +12,8 @@ from conjpr import (
     RealFrame,
     canonical_rep,
     certify,
-    conj_equivalent,
     cone_frame,
+    conj_equivalent,
     factor_rank2,
     frame_bounds,
     generic_cpr_size,
@@ -38,7 +38,7 @@ _X = np.array([1.0, 1.0j])
 _LIN = random_frame(2, 3)
 
 #: Every public tol argument, called on inputs that pass at a valid tol; the
-#: first four require tol > 0, the others tol >= 0.
+#: POSITIVE_TOL ones require tol > 0, the others tol >= 0.
 TOL_CALLS = {
     "phase_equivalent": lambda tol: phase_equivalent(_X, _X, tol=tol),
     "conj_equivalent": lambda tol: conj_equivalent(_X, _X, tol=tol),

@@ -8,8 +8,8 @@ from conjpr import (
     RealFrame,
     canonical_rep,
     certify,
-    conj_class_distance,
     cone_frame,
+    conj_class_distance,
     conj_equivalent,
     factor_rank2,
     is_phased_real,
