@@ -10,7 +10,15 @@ Three kernels live here:
   of all restarts runs;
 * the alternating projection between the measurement-consistent affine set
   and the cone of PSD rank-<=2 lifts, restart 0 alone and then the other
-  restarts in lockstep as one stack;
+  restarts in lockstep as one stack.  A restart stops when it converges or
+  when its residual r = |omega v - b| has stagnated: at the same
+  ``_STALL_EVERY`` cadence as the search, a move of at most ``_STALL_REL`` * r
+  in either direction since the last checkpoint.  The test is two-sided
+  because neither r nor the affine distance |pinv (omega v - b)| is
+  monotone: ``pinv`` projects in the half-vectorized Euclidean metric and
+  ``rank2_psd_project`` in the Frobenius metric, so the textbook
+  non-increase argument, which needs both steps nearest in one metric, does
+  not apply, and r can rise for dozens of iterations before it converges;
 * ``strict_report``'s alternating projection between the nullspace of the
   imaginary Gram matrix and the cone of rank-2 skew matrices, all restarts
   in lockstep as one stack.
@@ -32,8 +40,11 @@ from .witness import ZERO_EIG_TOL
 #: ZERO_EIG_TOL; Gauss-Newton runs on below this until f < _DONE_F.
 _HIT_F = ZERO_EIG_TOL**2
 _DONE_F = 1e-22
-#: Every _STALL_EVERY iterations a restart above _HIT_F must have halved f.
+#: Every _STALL_EVERY iterations a restart above _HIT_F must have halved f,
+#: and an alternating-projection restart above its goal must have moved its
+#: residual by more than _STALL_REL of it.
 _STALL_EVERY = 10
+_STALL_REL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -143,11 +154,17 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
 
     Each iteration steps every live restart onto the affine set
     {v : omega v = b} through ``pinv``, then onto the PSD rank-<=2 cone with
-    one stacked eigh.  A restart converges when its residual |omega v - b|
-    reaches ``goal``; then every live restart above it stops (keeping its
-    start, residual inf and 0 iterations), and the ones below it run on.
-    Products are taken restart by restart, so a restart's iterates carry the
-    same bits in any stack.
+    one stacked eigh.  A restart converges when its residual
+    r = |omega v - b| reaches ``goal``; then every live restart above it stops
+    (keeping its start, residual inf and 0 iterations), and the ones below it
+    run on.  A restart stagnates when, at a stall checkpoint (every
+    ``_STALL_EVERY`` iterations), r has moved by at most ``_STALL_REL`` * r
+    since the last one (its start at the first); it stops there with its
+    current v, residual and iteration count.  The test is two-sided because
+    r may rise for a while before it converges.  Every live restart has run
+    the same number of iterations, so checkpoints fall on a restart's own
+    count, and products are taken restart by restart: a restart's iterates
+    and its stop carry the same bits in any stack.
 
     Returns per-restart arrays (v, residual, iterations, converged).
     """
@@ -155,22 +172,29 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
     res = np.full(V.shape[0], np.inf)
     iters = np.zeros(V.shape[0], dtype=np.int64)
     converged = np.zeros(V.shape[0], dtype=bool)
-    live, v, r = np.arange(V.shape[0]), out, res
+    live, v = np.arange(V.shape[0]), out
     gap = (omega @ v[..., None])[..., 0] - b
+    # a dot product per restart: the bits of np.linalg.norm on each row
+    r = checkpoint = np.sqrt(_row_dot(gap, gap))
     for it in range(1, max_iter + 1):
         if live.size == 0:
             break
         v = v - (pinv @ gap[..., None])[..., 0]
         v = vectorize(rank2_psd_project(devectorize(v)))
         gap = (omega @ v[..., None])[..., 0] - b
-        # a dot product per restart: the bits of np.linalg.norm on each row
         r = np.sqrt(_row_dot(gap, gap))
         hit = r <= goal
-        if np.count_nonzero(hit):
-            done = live[hit]
-            out[done], res[done], iters[done], converged[done] = v[hit], r[hit], it, True
-            keep = ~hit & (live < done[0])
-            live, v, gap, r = live[keep], v[keep], gap[keep], r[keep]
+        stop = hit
+        if it % _STALL_EVERY == 0:
+            stop = hit | (np.abs(r - checkpoint) <= _STALL_REL * r)
+            checkpoint = r
+        if np.count_nonzero(stop):
+            done = live[stop]
+            out[done], res[done], iters[done], converged[done] = v[stop], r[stop], it, hit[stop]
+            keep = ~stop
+            if np.count_nonzero(hit):
+                keep &= live < live[hit][0]
+            live, v, gap, r, checkpoint = live[keep], v[keep], gap[keep], r[keep], checkpoint[keep]
     out[live], res[live], iters[live] = v, r, max_iter
     return out, res, iters, converged
 
@@ -181,8 +205,9 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
     Each iteration steps onto the affine set {v : omega v = b} through
     ``pinv`` and then onto the PSD rank-<=2 cone.  The first restart whose
     residual |omega v - b| reaches tol*|b| wins; otherwise the restart with
-    the lowest final residual (the lowest index on ties) is returned with
-    ``max_iter`` iterations.
+    the lowest final residual (the lowest index on ties) is returned with its
+    own iteration count: ``max_iter``, or fewer if its residual stagnated
+    (``_lockstep``'s stall checkpoint).
 
     Restart 0 runs alone, since a clean problem converges there; if it
     fails, restarts 1.. run together as one ``_lockstep`` stack.  The answer
@@ -204,7 +229,7 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
         r = int(hits[0])
         return V[r], res[r], int(iters[r]), r, True
     r = int(np.argmin(res))
-    return V[r], res[r], max_iter, r, False
+    return V[r], res[r], int(iters[r]), r, False
 
 
 def _skew_from_pairs(s, m):

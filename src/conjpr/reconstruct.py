@@ -36,7 +36,8 @@ class ReconstructionResult:
 
     ``lift_residual`` is the relative measurement misfit of the returned
     estimate's lift; ``rank_excess`` the relative eigenvalue mass the
-    rank-2 truncation discarded; ``iterations`` is 0 on the linear path.
+    rank-2 truncation discarded; ``iterations`` is 0 on the linear path and
+    the returned restart's own count on the alternating-projection path.
     """
 
     estimate: np.ndarray
@@ -166,8 +167,12 @@ def reconstruct_altproj(
     first projected onto the attainable column space) and the PSD
     rank-<=2 cone.  Restart i starts from the (seed, i) stream; the first
     restart reaching relative residual ``tol`` wins, otherwise the best
-    residual is returned with ``converged=False``.  Restart 0 runs alone and
-    the others, if it fails, as one lockstep batch; the answer is the one
+    residual is returned with ``converged=False``.  A restart that has not
+    converged stops early once its residual has stagnated: every 10
+    iterations it must have moved by more than 1e-9 of itself, up or down.
+    ``iterations`` is the returned restart's own count, so a non-converged
+    result may report fewer than ``max_iter``.  Restart 0 runs alone and the
+    others, if it fails, as one lockstep batch; the answer is the one
     restart-by-restart order gives.
 
     ``max_iter`` and ``restarts`` are integers >= 1, ``seed`` an integer
