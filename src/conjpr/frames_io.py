@@ -42,15 +42,16 @@ def _check_int(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _check_tol(value, positive: bool) -> float:
+def _check_tol(value, positive: bool, name: str = "tol") -> float:
     """The one check of a tolerance: a finite real, never a bool, > 0 if ``positive`` else >= 0.
 
-    Every public ``tol`` argument passes through it.
+    Every public ``tol`` argument, and ``measure``'s ``noise_sigma``, passes
+    through it; ``name`` is the argument the error message names.
     """
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     if not (real and np.isfinite(value) and (value > 0 if positive else value >= 0)):
         bound = "above 0" if positive else "of at least 0"
-        raise ValidationError(f"tol must be a finite number {bound}, got {value!r}")
+        raise ValidationError(f"{name} must be a finite number {bound}, got {value!r}")
     return float(value)
 
 

@@ -119,8 +119,8 @@ def apply_lift(frame, Q) -> np.ndarray:
 def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement:
     """Magnitude-squared measurements b_k = |<x, phi_k>|^2.
 
-    With ``noise_sigma`` set, adds i.i.d. Gaussian noise of standard
-    deviation noise_sigma * mean(b); pass ``rng`` (a Generator, or an integer
+    With ``noise_sigma`` set (a finite number >= 0, never a bool), adds
+    i.i.d. Gaussian noise of standard deviation noise_sigma * mean(b); pass ``rng`` (a Generator, or an integer
     seed s >= 0 for the stream ``rng_stream(s, 0)`` that ``cpr measure --seed s``
     draws from) for a reproducible draw.
     """
@@ -135,8 +135,7 @@ def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement
     values = np.abs(inner) ** 2
     if noise_sigma is None:
         return Measurement(values, None)
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be nonnegative")
+    noise_sigma = _check_tol(noise_sigma, positive=False, name="noise_sigma")
     if noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng()
@@ -144,7 +143,7 @@ def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement
             rng = rng_stream(rng, 0)
         scale = noise_sigma * float(np.mean(values))
         values = values + rng.standard_normal(values.shape[0]) * scale
-    return Measurement(values, float(noise_sigma))
+    return Measurement(values, noise_sigma)
 
 
 def numeric_rank(Q, tol: float | None = None) -> int:

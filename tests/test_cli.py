@@ -196,12 +196,18 @@ class TestMeasureReconstruct:
         assert frames_io.load_measurement(b1).noise_sigma == 1e-3
 
     def test_nan_noise_exit2(self, tmp_path, capsys):
+        self.assert_noise_exit2(tmp_path, capsys, "nan")
+
+    def test_inf_noise_exit2(self, tmp_path, capsys):
+        self.assert_noise_exit2(tmp_path, capsys, "inf")
+
+    def assert_noise_exit2(self, tmp_path, capsys, sigma):
         fpath = write_frame_2x3(tmp_path)
         spath = tmp_path / "x.json"
         frames_io.save_signal(np.array([1.0, 1j]), spath)
         bpath = tmp_path / "b.json"
         code, _, err = run(
-            capsys, "measure", str(fpath), str(spath), "--noise-sigma", "nan", "-o", str(bpath)
+            capsys, "measure", str(fpath), str(spath), "--noise-sigma", sigma, "-o", str(bpath)
         )
         assert code == 2
         assert "noise_sigma" in err

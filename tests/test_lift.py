@@ -195,6 +195,11 @@ class TestMeasure:
         b = measure(FRAME_2X3, x, noise_sigma=0.1, rng=rng_stream(5, 0))
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("sigma", [True, float("inf"), float("nan"), -1.0, "1e-3"])
+    def test_bad_noise_sigma(self, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            measure(FRAME_2X3, [1.0, 1.0j], noise_sigma=sigma, rng=1)
+
     @pytest.mark.parametrize("seed", [True, -1, 2.5])
     def test_bad_seed(self, seed):
         with pytest.raises(ValidationError):
