@@ -120,9 +120,10 @@ def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement
     """Magnitude-squared measurements b_k = |<x, phi_k>|^2.
 
     With ``noise_sigma`` set (a finite number >= 0, never a bool), adds
-    i.i.d. Gaussian noise of standard deviation noise_sigma * mean(b); pass ``rng`` (a Generator, or an integer
-    seed s >= 0 for the stream ``rng_stream(s, 0)`` that ``cpr measure --seed s``
-    draws from) for a reproducible draw.
+    i.i.d. Gaussian noise of standard deviation noise_sigma * mean(b); pass
+    ``rng`` (a Generator, or an integer seed s >= 0 for the stream
+    ``rng_stream(s, 0)`` that ``cpr measure --seed s`` draws from) for a
+    reproducible draw.
     """
     mat = _frame_matrix(frame)
     x = as_signal(x)
