@@ -4,10 +4,13 @@ Three kernels live here:
 
 * a multistart Gauss-Newton search over the unit sphere of the lift kernel
   for a matrix that a signal pair realizes, vectorized over all restarts.
-  Below 4M-6 vectors (N <= 4M-7) ``certify`` first calls it on restart 0
-  alone for one stall window (``_STALL_EVERY`` iterations); a hit that
-  stops inside the window is the stack's answer, and otherwise the stack
-  of all restarts runs;
+  A restart that cannot hit stops at a first-order stationary point, where
+  its Gauss-Newton step predicts f to fall by at most ``_FLAT_REL`` of it
+  (MINPACK's predicted-reduction test; Moré, LNM 630, 1978), or else at a
+  ``_STALL_EVERY`` checkpoint where f has not halved.  Below 4M-6 vectors
+  (N <= 4M-7) ``certify`` first calls it on restart 0 alone for one stall
+  window (``_STALL_EVERY`` iterations); a hit that stops inside the window
+  is the stack's answer, and otherwise the stack of all restarts runs;
 * the alternating projection between the measurement-consistent affine set
   and the cone of PSD rank-<=2 lifts, restart 0 alone and then the other
   restarts in lockstep as one stack.  A restart stops when it converges or
@@ -45,6 +48,10 @@ _DONE_F = 1e-22
 #: residual by more than _STALL_REL of it.
 _STALL_EVERY = 10
 _STALL_REL = 1e-9
+#: A search restart above _HIT_F stops once its Gauss-Newton step p predicts
+#: a fall of f by at most _FLAT_REL * f: the residual is nearly orthogonal to
+#: the Jacobian's range.
+_FLAT_REL = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -79,13 +86,25 @@ def pair_search(phi, starts, delta, H, max_iter):
     no steering.  Returns (c, f, fmeas, d, iters) arrays over restarts.
 
     A restart stops when f < 1e-22, when an accepted step is below 1e-13,
-    when its damping passes 1e10, or at a stall checkpoint: every 10
-    iterations, a restart whose f is above the hit tolerance ZERO_EIG_TOL**2
-    and has not halved since the last checkpoint sits at a nonzero minimum
-    (Gauss-Newton on a zero residual converges superlinearly) and stops.
-    Checkpoints fall on a restart's own iteration count, so its result does
-    not depend on the batch.  With k = 1 the tangent space is empty and the
-    starting evaluation is returned with iters = 0.
+    when its damping passes 1e10, or, while f is above the hit tolerance
+    ZERO_EIG_TOL**2, at a nonzero minimum, which two tests detect:
+
+    * first order: the iteration's damped step p = -(J J^T + lam I)^-1 g,
+      with J the tangent Jacobian of the block r and g = J r, predicts f to
+      fall by -g.p <= ``_FLAT_REL`` * f (1e-6); under small damping r is
+      then nearly orthogonal to the range of J^T.  The restart takes that
+      step and stops;
+    * stall checkpoint: every 10 iterations, f has not halved since the
+      last checkpoint (Gauss-Newton on a zero residual converges
+      superlinearly).
+
+    The first-order test compares the step's predicted fall with f, not
+    |g| with |J|_F |r|: the latter also fires on a zero residual approached
+    along J's small singular directions, as on a frame with rows scaled by
+    1e3 and 1e-2.  Both tests read the restart's own state and iteration
+    count, so its result does not depend on the batch.  With k = 1 the
+    tangent space is empty and the starting evaluation is returned with
+    iters = 0.
     """
     R, k = starts.shape
 
@@ -114,6 +133,8 @@ def pair_search(phi, starts, delta, H, max_iter):
         A = J @ J.transpose(0, 2, 1) + lam[live, None, None] * np.eye(k)
         g = np.einsum("rjaa,ra->rj", G, np.where(ml, w[live], 0.0))
         p = np.linalg.solve(A, -g[..., None])[..., 0]
+        # first-order stop: the step's model predicts f to fall by -g.p
+        flat = (-_row_dot(g, p) <= _FLAT_REL * f[live]) & (f[live] > _HIT_F)
         cn = cl + p
         cn /= np.linalg.norm(cn, axis=1)[:, None]
         wn, Un, maskn, fn = spectrum(cn)
@@ -125,7 +146,7 @@ def pair_search(phi, starts, delta, H, max_iter):
         lam[took] = np.maximum(lam[took] / 3.0, 1e-12)
         lam[live[~accept]] *= 4.0
         step = np.linalg.norm(p, axis=1)
-        done = np.where(accept, (fn < _DONE_F) | (step < 1e-13), lam[live] > 1e10)
+        done = np.where(accept, (fn < _DONE_F) | (step < 1e-13), lam[live] > 1e10) | flat
         active[live[done]] = False
         if it % _STALL_EVERY == 0:
             active &= (f <= checkpoint / 2.0) | (f <= _HIT_F)

@@ -28,7 +28,10 @@ its first matrix answers every step:
   question stays open: Undecided, optionally refined by a randomized search
   on the unit sphere of the same kernel for a matrix that a pair realizes,
   which then gives the pair (SearchWitness).  Below 4M-6 vectors, where a
-  generic frame has a pair, the search's restart 0 runs alone first.
+  generic frame has a pair, the search's restart 0 runs alone first.  A
+  restart that cannot hit stops at a nonzero minimum: once its Gauss-Newton
+  step predicts its squared residual to fall by at most 1e-6 of it, or when
+  that residual has not halved over a 10-iteration window.
 
 Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
 split is attached.  Undecided is an honest verdict: search failure is never
@@ -84,7 +87,9 @@ INERTIA_MARGIN = 1e-6
 #: Bound on the relative residual of a kernel witness.
 _WITNESS_TOL = 1e-9
 
-#: Minimum lift-space separation a searched pair must exhibit.
+#: The ``delta`` passed to ``_kernels.pair_search``.  Every split it makes
+#: has lift distance d = 2 |kept|_2 / |kept|_1 >= 1 (at most four kept
+#: eigenvalues, Cauchy-Schwarz), so no hit is ever held to it.
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
 #: Bound on a hit's squared measurement gap over the unit columns (column k's
@@ -341,7 +346,7 @@ def _search_with_stats(frame, basis: list, budget: int, seed: int):
 def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
     """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``."""
     cs, fs, fmeas, ds, _ = run
-    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
+    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL)
     best = int(np.argmin(fs))
     stats["best_gap"] = float(np.sqrt(fmeas[best]))
     stats["best_distance"] = float(ds[best])

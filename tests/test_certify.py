@@ -634,8 +634,8 @@ class TestPairSearchKernel:
             assert np.array_equal(a[7:19], b)
 
     def test_stopped_restarts_stay_frozen(self):
-        # the stall checkpoint at iteration 10 stops some restarts, the one at
-        # 20 stops the rest: at 15 both kinds are present
+        # the first-order stop ends most restarts between iterations 4 and 15,
+        # the stall checkpoint at 20 the rest: at 15 both kinds are present
         starts = rng_stream(503, 1).standard_normal((40, 3))
         short = self.run(starts, max_iter=15)
         longer = self.run(starts, max_iter=25)
@@ -647,13 +647,29 @@ class TestPairSearchKernel:
             assert np.array_equal(a[stopped], b[stopped])
 
     def test_stall_rule_bounds_generic_restarts(self):
-        # no pair exists on the generic fixture: every restart stalls at a
-        # nonzero minimum and stops at a checkpoint long before max_iter
+        # no pair exists on the generic fixture: every restart reaches a
+        # nonzero minimum and stops long before max_iter, most of them at the
+        # first-order stop before a stall checkpoint would fire (742 and 740
+        # iterations with the checkpoint alone)
         # (test_planted_6x18_search_witness pins that hits are still found)
         for stream in (0, 1):
-            _, f, _, _, iters = self.run(rng_stream(503, stream).standard_normal((40, 3)))
+            _, f, _, d, iters = self.run(rng_stream(503, stream).standard_normal((40, 3)))
             assert iters.max() <= 30
+            assert iters.sum() <= 500
             assert np.all(f > _kernels._HIT_F)
+            assert np.all(d >= 1.0)
+
+    def test_split_distance_at_least_one(self):
+        # d = 2 |kept|_2 / |kept|_1 >= 1 with at most four kept eigenvalues
+        # (Cauchy-Schwarz), so the caller's delta = SEARCH_DISTANCE < 1 never
+        # rejects a hit; these frames have hits
+        for m, n, seed in [(4, 7, 0), (5, 11, 1), (7, 21, 2)]:
+            f = random_frame(m, n, seed=seed)
+            H = _kernel_matrices(kernel_basis(omega_matrix(f)), m)
+            starts = rng_stream(seed, 9).standard_normal((32, len(H)))
+            _, _, _, d, _ = _kernels.pair_search(unit_columns(f), starts, SEARCH_DISTANCE, H, 100)
+            assert np.all(d >= 1.0)
+        assert SEARCH_DISTANCE < 1.0
 
     def test_kernel_matrices_frobenius_orthonormal(self):
         f = random_frame(6, 16, seed=5)
@@ -697,9 +713,7 @@ class TestSearchProbe:
         cs, fs, fmeas, ds, iters = _kernels.pair_search(
             unit_columns(f), starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
         )
-        hits = np.flatnonzero(
-            (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL) & (ds >= SEARCH_DISTANCE)
-        )
+        hits = np.flatnonzero((fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL))
         best = int(np.argmin(fs))
         trials = {
             "restarts": budget,
@@ -791,6 +805,18 @@ class TestSearchProbe:
         assert iters[0] > _kernels._STALL_EVERY
         assert cert.method == "SearchWitness"
         assert cert.trials == trials
+
+    def test_plateau_escape_keeps_its_hit(self):
+        # restart 0 sits near f = 2e-4 from iteration 8 to 18, then reaches
+        # f = 1.8e-24 at 24; its steps predict f to fall by at least 5e-3 of
+        # it all along, so neither stop ends it before the hit
+        f = random_frame(7, 21, seed=1024)
+        cert, _, iters = self.assert_same_answer(f, 24)
+        assert cert.method == "SearchWitness" and iters[0] >= 20
+        # restart 0 alone finds the pair: it is the lowest-index hit
+        alone, _, _ = self.stack(f, 24, 1)
+        assert alone.x.tobytes() == cert.witness.x.tobytes()
+        verify_witness(f, cert.witness)
 
     def test_calls(self, monkeypatch):
         calls = []
