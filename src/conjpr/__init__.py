@@ -69,9 +69,6 @@ from .reconstruct import (
 from .witness import (
     WitnessPair,
     cone_frame,
-    witness_diag_m2,
-    witness_diag_m3,
-    witness_diag_m3_degenerate,
     witness_general,
 )
 
@@ -128,8 +125,5 @@ __all__ = [
     "rng_stream",
     "strict_report",
     "vectorize",
-    "witness_diag_m2",
-    "witness_diag_m3",
-    "witness_diag_m3_degenerate",
     "witness_general",
 ]

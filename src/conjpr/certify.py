@@ -52,7 +52,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .frames_io import ComplexFrame, RealFrame, _check_int, _check_tol, _restart_starts
-from .lift import _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix
+from .lift import _frame_matrix, _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix
 # witness_general is no longer called here (the ladder splits its own
 # eigendecomposition) but stays a conjpr.certify attribute, which
 # perfbench/tracing.py wraps.
@@ -156,7 +156,7 @@ def complement_property(frame, cap: int = 24):
     the same rank over R and C, so one walk answers for both fields.
     Refuses N > cap outright: the check walks all 2^(N-1) splits.
     """
-    mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+    mat = _frame_matrix(frame)
     m, n = mat.shape
     if n > cap:
         raise ValidationError(
@@ -434,7 +434,7 @@ def im_gram(frame) -> np.ndarray:
     when the pair vector s_jk = Im(y_j conj(y_k)) lies in this matrix's
     nullspace.
     """
-    mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+    mat = _frame_matrix(frame)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("phi has non-finite entries")
     m = mat.shape[0]
@@ -469,7 +469,7 @@ def strict_report(frame) -> StrictReport:
     RealFrame when it is real.
     """
     if not isinstance(frame, (RealFrame, ComplexFrame)):
-        mat = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
+        mat = _frame_matrix(frame)
         frame = (ComplexFrame if np.iscomplexobj(mat) else RealFrame)(mat)
     mat = frame.matrix
     m, n = mat.shape

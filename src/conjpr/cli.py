@@ -203,17 +203,14 @@ def _cmd_falsify(args) -> int:
 def _cmd_witness(args) -> int:
     if args.diag:
         a, b, c = _parse_floats(args.diag, 3, "--diag")
-        from .witness import witness_diag_m3
-
-        pair = witness_diag_m3(a, b, c)
-    elif args.diag2:
-        a, c = _parse_floats(args.diag2, 2, "--diag2")
-        from .witness import witness_diag_m3_degenerate
-
-        pair = witness_diag_m3_degenerate(a, c)
+        frames_io._check_tol(a, positive=True, name="a")
+        frames_io._check_tol(b, positive=False, name="b")
+        frames_io._check_tol(c, positive=True, name="c")
+        # a diagonal target's eigenvalues are its entries exactly, so none is
+        # zeroed: the pair realizes diag(a, b, -c) to round-off for every b >= 0
+        pair = witness_general(np.diag([a, b, -c]), tol=0.0)
     else:
-        H = frames_io.load_matrix(args.matrix)
-        pair = witness_general(H)
+        pair = witness_general(frames_io.load_matrix(args.matrix))
     frames_io.save_witness(pair, args.output)
     _emit(
         args,
@@ -302,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="synthesize an explicit witness pair")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--diag", help="a,b,c for the target diag(a, b, -c)")
-    group.add_argument("--diag2", help="a,c for the target diag(a, 0, -c)")
+    group.add_argument("--diag", help="a,b,c for the target diag(a, b, -c); a, c > 0, b >= 0")
     group.add_argument("--matrix", help="JSON file with a symmetric target matrix")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")

@@ -135,9 +135,9 @@ class Measurement:
             raise ValidationError("measurement values must be 1-D")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("measurement values have non-finite entries")
-        # `not >= 0` also rejects nan, which the measurement file could not hold
-        if self.noise_sigma is not None and not self.noise_sigma >= 0:
-            raise ValidationError("noise_sigma must be nonnegative")
+        # a finite number, never a bool: the only noise level the file can hold
+        if self.noise_sigma is not None:
+            _check_tol(self.noise_sigma, positive=False, name="noise_sigma")
         if not self.noise_sigma and np.any(vals < 0):
             raise ValidationError("noiseless measurements must be nonnegative")
 
@@ -152,8 +152,8 @@ def random_frame(m: int, n: int, seed: int = 0) -> RealFrame:
     Draws come from ``rng_stream(seed, 0)``; in the measure-zero event the
     draw is rank deficient it is redrawn from the same stream (count logged).
     """
-    if n < m:
-        raise ValidationError(f"need n >= m, got m={m}, n={n}")
+    m = _check_int(m, "m", 1)
+    n = _check_int(n, "n", m)
     rng = rng_stream(seed, 0)
     resamples = 0
     while True:

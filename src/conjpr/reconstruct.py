@@ -20,7 +20,7 @@ from .algebra import canonical_rep, real_lift
 from .certify import KERNEL_TOL
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
 from .frames_io import Measurement, _check_int, _check_tol, _restart_starts
-from .lift import devectorize, measure, omega_matrix, vectorize
+from .lift import _dim_from_lift, devectorize, measure, omega_matrix, vectorize
 from . import _kernels
 from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
 
@@ -187,7 +187,7 @@ def reconstruct_altproj(
     n, L = om.shape
     if bvals.shape[0] != n:
         raise ValidationError(f"frame has {n} vectors but got {bvals.shape[0]} measurements")
-    m = (frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)).shape[0]
+    m = _dim_from_lift(L)
     if np.linalg.norm(bvals) == 0.0:
         return _result(om, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
     pinv = np.linalg.pinv(om)

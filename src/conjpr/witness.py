@@ -2,24 +2,14 @@
 
 A lift Re(zz*) = aa^T + bb^T (z = a + ib) is positive semidefinite of rank
 at most 2, so a realizable target H has at most two positive and at most
-two negative eigenvalues; every such target with both signs present is
-realized here.
+two negative eigenvalues.  Conversely, every symmetric target with both
+signs present and at most two eigenvalues of each sign is Re(xx*) - Re(yy*)
+for some pair, and ``witness_general`` builds that pair at every dimension.
 
-``witness_general`` uses the spectral split at every dimension: with
-eigenpairs (l_k, u_k) of H, x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the
-positive ones and y the same over the negative ones, so Re(xx*) - Re(yy*) = H
-and |x|^2 + |y|^2 = sum |l_k|, whatever the spread of the eigenvalues.
-
-The paper's closed forms for dimensions 2 and 3 stay available as
-``witness_diag_m2``, ``witness_diag_m3`` and ``witness_diag_m3_degenerate``.
-They realize a diagonal target diag(a, b, -c) with a, c > 0, b >= 0 by
-putting a quarter turn between the first two coordinates of both vectors so
-the (1,2) and (1,3) real cross terms vanish, then matching moduli through
-
-    |y1| / sqrt(a + |y1|^2) = |y2| / sqrt(b + |y2|^2) = |x3| / sqrt(c + |x3|^2),
-
-with |x1| = sqrt(a + |y1|^2), |x2| = sqrt(b + |y2|^2), |y3| = sqrt(c + |x3|^2)
-and the free modulus |y1| fixed at 1.
+The construction is the spectral split: with eigenpairs (l_k, u_k) of H,
+x = sqrt(l_1) u_1 + i sqrt(l_2) u_2 over the positive ones and y the same
+over the negative ones, so Re(xx*) - Re(yy*) = H and
+|x|^2 + |y|^2 = sum |l_k|, whatever the spread of the eigenvalues.
 """
 
 from __future__ import annotations
@@ -60,53 +50,6 @@ def _pair(x: np.ndarray, y: np.ndarray, target: np.ndarray) -> WitnessPair:
         np.linalg.norm(achieved - target) / max(np.linalg.norm(target), _EPS)
     )
     return WitnessPair(x, y, np.asarray(target, dtype=np.float64), res)
-
-
-def _check_positive(**params: float) -> None:
-    for name, val in params.items():
-        if not np.isfinite(val) or val <= 0:
-            raise ValidationError(f"{name} must be positive and finite, got {val}")
-
-
-def witness_diag_m3(a: float, b: float, c: float) -> WitnessPair:
-    """Pair in C^3 with Re(xx* - yy*) = diag(a, b, -c), all of a, b, c > 0."""
-    _check_positive(a=a, b=b, c=c)
-    # |y1| = 1; ratio^2 = r^2/(1-r^2) = 1/a for r = 1/sqrt(a+1)
-    y2 = np.sqrt(b / a)
-    x3 = np.sqrt(c / a)
-    x1 = np.sqrt(a + 1.0)
-    x2 = np.sqrt(b + y2 * y2)
-    y3 = np.sqrt(c + x3 * x3)
-    x = np.array([1j * x1, x2, x3], dtype=np.complex128)
-    y = np.array([1j * 1.0, y2, y3], dtype=np.complex128)
-    return _pair(x, y, np.diag([a, b, -c]))
-
-
-def witness_diag_m3_degenerate(a: float, c: float) -> WitnessPair:
-    """Pair in C^3 with Re(xx* - yy*) = diag(a, 0, -c), a, c > 0.
-
-    Middle coordinate carries equal moduli and a quarter turn against both
-    neighbours, so its row of the difference vanishes identically.
-    """
-    _check_positive(a=a, c=c)
-    x3 = np.sqrt(c / a)
-    x1 = np.sqrt(a + 1.0)
-    y3 = np.sqrt(c + x3 * x3)
-    # phases (pi, pi/2, 0) for both vectors
-    x = np.array([-x1, 1j * 1.0, x3], dtype=np.complex128)
-    y = np.array([-1.0, 1j * 1.0, y3], dtype=np.complex128)
-    return _pair(x, y, np.diag([a, 0.0, -c]))
-
-
-def witness_diag_m2(a: float, c: float) -> WitnessPair:
-    """Pair in C^2 with Re(xx* - yy*) = diag(a, -c), a, c > 0."""
-    _check_positive(a=a, c=c)
-    x2 = np.sqrt(c / a)
-    x1 = np.sqrt(a + 1.0)
-    y2 = np.sqrt(c + x2 * x2)
-    x = np.array([1j * x1, x2], dtype=np.complex128)
-    y = np.array([1j * 1.0, y2], dtype=np.complex128)
-    return _pair(x, y, np.diag([a, -c]))
 
 
 def witness_general(H, tol: float = ZERO_EIG_TOL) -> WitnessPair:

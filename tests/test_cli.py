@@ -66,6 +66,14 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_m_exit2(self, tmp_path, capsys, m):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "--m", m, "--n", "3", "-o", str(out))
+        assert code == 2
+        assert err.startswith("error [Validation]: m must be")
+        assert not out.exists()
+
 
 class TestCertify:
     def test_reference_frame(self, tmp_path, capsys):
@@ -318,18 +326,29 @@ class TestSeedValidation:
 
 
 class TestWitnessCommand:
-    def test_diag(self, tmp_path, capsys):
+    # b = 1e-5 sits at 1e-10 of |H|_F, where witness_general's default tol
+    # would zero it
+    @pytest.mark.parametrize("diag", ["1,1,1", "2,0,0.5", "1e5,1e-5,3"])
+    def test_diag(self, tmp_path, capsys, diag):
         out = tmp_path / "pair.json"
-        code, _, _ = run(capsys, "witness", "--diag", "1,1,1", "-o", str(out))
+        code, _, _ = run(capsys, "witness", "--diag", diag, "-o", str(out))
         assert code == 0
         pair = frames_io.load_witness(out)
+        a, b, c = (float(v) for v in diag.split(","))
+        assert np.array_equal(pair.target, np.diag([a, b, -c]))
         assert pair.residual <= 1e-12
+        # the spectral split spends exactly the target's eigenvalue magnitudes
+        total = np.linalg.norm(pair.x) ** 2 + np.linalg.norm(pair.y) ** 2
+        assert total == pytest.approx(a + b + c, rel=1e-12)
 
-    def test_diag2(self, tmp_path, capsys):
-        out = tmp_path / "pair.json"
-        code, _, _ = run(capsys, "witness", "--diag2", "2,0.5", "-o", str(out))
-        assert code == 0
-        assert frames_io.load_witness(out).residual <= 1e-12
+    @pytest.mark.parametrize("diag, name", [("-1,1,1", "a"), ("1,-1,1", "b"), ("1,1,0", "c")])
+    def test_nonpositive_diag_entry_exit2(self, tmp_path, capsys, diag, name):
+        out = tmp_path / "p.json"
+        # "--diag=" because argparse reads a bare "-1,1,1" as an option
+        code, _, err = run(capsys, "witness", f"--diag={diag}", "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"error [Validation]: {name} must be a finite number")
+        assert not out.exists()
 
     def test_matrix_input(self, tmp_path, capsys):
         hpath = tmp_path / "h.json"

@@ -131,6 +131,23 @@ class TestFrameTypes:
             Measurement(np.array([1.0]), noise_sigma=-1.0)
         with pytest.raises(ValidationError):
             Measurement(np.array([1.0]), noise_sigma=float("nan"))
+        # the file holds only finite numbers: inf would save but never load
+        for sigma in (INF, True):
+            with pytest.raises(ValidationError, match="noise_sigma"):
+                Measurement(np.array([1.0]), noise_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [0, 3, np.float64(1e-3), INF])
+    def test_every_measurement_loads_back(self, tmp_path, sigma):
+        try:
+            meas = Measurement(np.array([1.0, 0.25]), sigma)
+        except ValidationError:
+            assert sigma == INF
+            return
+        path = tmp_path / "b.json"
+        frames_io.save_measurement(meas, path)
+        back = frames_io.load_measurement(path)
+        assert np.array_equal(back.values, meas.values)
+        assert back.noise_sigma == sigma
 
 
 class TestCheckTol:
@@ -165,6 +182,14 @@ class TestRandomFrame:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError):
             random_frame(3, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "m, n, name", [(0, 3, "m"), (-2, 3, "m"), (True, 3, "m"), (2, 2.5, "n"), (2, "3", "n")]
+    )
+    def test_rejects_bad_sizes(self, m, n, name):
+        # a 0 x n draw can never span, so before this check the redraw loop never ended
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            random_frame(m, n, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_restart_starts_are_spawned_streams(self, seed):
@@ -268,9 +293,7 @@ class TestRoundTrips:
         assert frames_io.load_measurement(path).noise_sigma == 0.5
 
     def test_witness_roundtrip(self, tmp_path):
-        from conjpr import witness_diag_m3
-
-        pair = witness_diag_m3(1.0, 2.0, 0.5)
+        pair = witness_general(np.diag([1.0, 2.0, -0.5]))
         path = tmp_path / "w.json"
         frames_io.save_witness(pair, path)
         back = frames_io.load_witness(path)
