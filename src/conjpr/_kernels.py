@@ -223,6 +223,10 @@ def _lockstep(omega, pinv, b, V, max_iter, goal):
 def altproj(omega, pinv, b, v0s, max_iter, tol):
     """Alternating projection from the starts ``v0s`` (restarts, L).
 
+    ``v0s`` is an array, or an object with an array's ``shape`` whose row
+    slices are arrays (``frames_io._LazyStarts``); rows 1.. are sliced only
+    when restart 0 fails.
+
     Each iteration steps onto the affine set {v : omega v = b} through
     ``pinv`` and then onto the PSD rank-<=2 cone.  The first restart whose
     residual |omega v - b| reaches tol*|b| wins; otherwise the restart with
@@ -239,11 +243,14 @@ def altproj(omega, pinv, b, v0s, max_iter, tol):
     omega = np.asarray(omega, dtype=np.float64)
     pinv = np.asarray(pinv, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    v0s = np.asarray(v0s, dtype=np.float64)
     goal = tol * (np.linalg.norm(b) or 1.0)
-    runs = [_lockstep(omega, pinv, b, v0s[:1], max_iter, goal)]
+
+    def run(rows):
+        return _lockstep(omega, pinv, b, np.asarray(v0s[rows], dtype=np.float64), max_iter, goal)
+
+    runs = [run(slice(1))]
     if not runs[0][3][0] and v0s.shape[0] > 1:
-        runs.append(_lockstep(omega, pinv, b, v0s[1:], max_iter, goal))
+        runs.append(run(slice(1, None)))
     V, res, iters, converged = (np.concatenate(parts) for parts in zip(*runs))
     hits = np.flatnonzero(converged)
     if hits.size:

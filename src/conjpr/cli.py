@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -313,9 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value may start with "-" in a form argparse does not take
+#: for a negative number (-1,1,1 or -1e-3).
+_SIGNED_VALUE_OPTIONS = ("--diag", "--noise-sigma")
+
+
+def _join_signed_values(argv) -> list:
+    """Rewrite "--diag VALUE" as "--diag=VALUE" (likewise --noise-sigma) when VALUE starts with "-".
+
+    argparse reads a token such as -1,1,1 as an option, not as the option's
+    value, so without this the value checks never see the bare form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CprError as exc:

@@ -62,12 +62,27 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+class _LazyStarts:
+    """Multistart initial points, drawn when asked for: row i is a standard normal draw from stream (seed, i).
+
+    ``shape`` is (restarts, dim); a slice of rows draws those rows only, and
+    since no stream depends on another, with the bits they have in the full
+    array.
+    """
+
+    def __init__(self, seed: int, restarts: int, dim: int):
+        self.seed, self.shape = seed, (restarts, dim)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        dim = self.shape[1]
+        draws = [rng_stream(self.seed, i).standard_normal(dim)
+                 for i in range(*rows.indices(self.shape[0]))]
+        return np.array(draws).reshape(len(draws), dim)
+
+
 def _restart_starts(seed: int, restarts: int, dim: int) -> np.ndarray:
-    """Multistart initial points: row i is a standard normal draw from stream (seed, i)."""
-    starts = np.empty((restarts, dim))
-    for i in range(restarts):
-        starts[i] = rng_stream(seed, i).standard_normal(dim)
-    return starts
+    """Multistart initial points (restarts, dim): row i is a standard normal draw from stream (seed, i)."""
+    return _LazyStarts(seed, restarts, dim)[:]
 
 
 @dataclass(frozen=True)
@@ -366,6 +381,8 @@ def load_measurement(path) -> Measurement:
     doc = _load_json(path)
     values = _vector(_require(doc, "values"), "values")
     sigma = _optional(doc, "noise_sigma", _number)
+    if sigma is not None and sigma < 0:
+        raise FileFormatError(f"field 'noise_sigma' must be at least 0, got {sigma!r}")
     try:
         return Measurement(np.array(values, dtype=np.float64), sigma)
     except ValidationError as exc:

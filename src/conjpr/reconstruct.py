@@ -1,13 +1,16 @@
 """Signal recovery from magnitude-squared measurements via the real lift.
 
-With enough measurements the lifted system is linear: solve for the
-half-vectorized symmetric matrix, then factor the PSD rank-<=2 solution
-back into a signal (the two factorizations of a rank-2 Gram matrix differ
-by a 2x2 orthogonal mix, which is exactly a global phase or a phase plus
+With enough measurements the lifted system is linear: one thin SVD of the
+lifted operator both decides its rank and solves for the half-vectorized
+symmetric matrix, and the PSD rank-<=2 solution is factored back into a
+signal (the two factorizations of a rank-2 Gram matrix differ by a 2x2
+orthogonal mix, which is exactly a global phase or a phase plus
 conjugation, i.e. one conjugate-equivalence class).  Below the
 half-vectorization dimension the affine measurement set is searched by
 alternating projection against the PSD rank-<=2 cone; that route carries
-no guarantee and reports non-convergence honestly.
+no guarantee and reports non-convergence honestly.  Both routes report the
+misfit in measurement space, |(|phi_k^T xhat|^2)_k - b| / |b|, which is
+``residual`` of the returned estimate.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import canonical_rep, real_lift
+from .algebra import canonical_rep
 from .certify import KERNEL_TOL
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
-from .frames_io import Measurement, _check_int, _check_tol, _restart_starts
-from .lift import _dim_from_lift, devectorize, measure, omega_matrix, vectorize
+from .frames_io import Measurement, _LazyStarts, _check_int, _check_tol
+from .lift import _dim_from_lift, _frame_matrix, devectorize, measure, omega_matrix
 from . import _kernels
 from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
 
@@ -35,9 +38,10 @@ class ReconstructionResult:
     """Recovered class representative with fit diagnostics.
 
     ``lift_residual`` is the relative measurement misfit of the returned
-    estimate's lift; ``rank_excess`` the relative eigenvalue mass the
-    rank-2 truncation discarded; ``iterations`` is 0 on the linear path and
-    the returned restart's own count on the alternating-projection path.
+    estimate, ``residual(frame, estimate, b)``; ``rank_excess`` the relative
+    eigenvalue mass the rank-2 truncation discarded; ``iterations`` is 0 on
+    the linear path and the returned restart's own count on the
+    alternating-projection path.
     """
 
     estimate: np.ndarray
@@ -109,13 +113,19 @@ def factor_rank2(Q, tol: float = PSD_TOL) -> np.ndarray:
     return xhat
 
 
-def _result(om: np.ndarray, estimate: np.ndarray, b: np.ndarray, rank_excess: float,
+def _misfit(got: np.ndarray, bvals: np.ndarray) -> float:
+    return float(np.linalg.norm(got - bvals) / max(np.linalg.norm(bvals), _EPS))
+
+
+def _result(frame, estimate: np.ndarray, b: np.ndarray, rank_excess: float,
             iterations: int, converged: bool) -> ReconstructionResult:
-    fit = om @ vectorize(real_lift(estimate)) - b
-    lift_residual = float(np.linalg.norm(fit) / max(np.linalg.norm(b), _EPS))
+    # the misfit in measurement space: for a real frame, omega v(Re(x x*))
+    # is |phi^T x|^2, so the lift never needs rebuilding
+    estimate = canonical_rep(estimate)
+    mat = np.asarray(_frame_matrix(frame), dtype=np.float64)
     return ReconstructionResult(
-        estimate=canonical_rep(estimate),
-        lift_residual=lift_residual,
+        estimate=estimate,
+        lift_residual=_misfit(np.abs(mat.T @ estimate) ** 2, b),
         rank_excess=rank_excess,
         iterations=iterations,
         converged=converged,
@@ -127,6 +137,10 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
 
     Needs the lifted operator injective (N >= M(M+1)/2 and full column
     rank); raises UnderdeterminedError otherwise (use reconstruct_altproj).
+    One thin SVD U diag(s) V^T of the operator serves both: its singular
+    values give the rank rule s_min <= KERNEL_TOL * s_max, and since every
+    s then lies above any rcond cut its factors give the least-squares
+    solution V (U^T b / s).
     ``tol`` bounds how negative an eigenvalue of the solved lift may be,
     relative to its norm, before the measurements are declared inconsistent
     (NotPSDError); with noisy data pass a tolerance matched to the noise.
@@ -142,14 +156,13 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
             f"{n} measurements cannot determine {L} lift coefficients; "
             "use reconstruct_altproj"
         )
-    sv = np.linalg.svd(om, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(om, full_matrices=False)
     if sv[0] == 0.0 or sv[-1] <= KERNEL_TOL * sv[0]:
         raise UnderdeterminedError("lifted operator is numerically rank deficient")
-    v = np.linalg.lstsq(om, bvals, rcond=None)[0]
-    Q = devectorize(v)
+    Q = devectorize(Vt.T @ ((U.T @ bvals) / sv))
     xhat, discarded_abs, total_abs = _truncate_psd2(Q, tol)
     rank_excess = discarded_abs / max(total_abs, _EPS)
-    return _result(om, xhat, bvals, rank_excess, 0, True)
+    return _result(frame, xhat, bvals, rank_excess, 0, True)
 
 
 def reconstruct_altproj(
@@ -173,7 +186,8 @@ def reconstruct_altproj(
     ``iterations`` is the returned restart's own count, so a non-converged
     result may report fewer than ``max_iter``.  Restart 0 runs alone and the
     others, if it fails, as one lockstep batch; the answer is the one
-    restart-by-restart order gives.
+    restart-by-restart order gives.  The starts of restarts 1.. are drawn
+    only when that batch runs.
 
     ``max_iter`` and ``restarts`` are integers >= 1, ``seed`` an integer
     >= 0 and ``tol`` a finite number >= 0.
@@ -189,9 +203,10 @@ def reconstruct_altproj(
         raise ValidationError(f"frame has {n} vectors but got {bvals.shape[0]} measurements")
     m = _dim_from_lift(L)
     if np.linalg.norm(bvals) == 0.0:
-        return _result(om, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
+        return _result(frame, np.zeros(m, dtype=np.complex128), bvals, 0.0, 0, True)
     pinv = np.linalg.pinv(om)
-    v0s = _restart_starts(seed, restarts, L)
+    # restart i's start is stream (seed, i), drawn only if restart i runs
+    v0s = _LazyStarts(seed, restarts, L)
     v, _, iters, _, converged = _kernels.altproj(om, pinv, bvals, v0s, max_iter, tol)
     Q2 = devectorize(v)
     xhat, *_ = _truncate_psd2(Q2, 1.0)  # Q2 is PSD rank<=2 by construction
@@ -200,7 +215,7 @@ def reconstruct_altproj(
     w_aff = np.linalg.eigh(devectorize(v_aff))[0]
     tail = np.sum(np.abs(w_aff[:-2])) if m >= 2 else 0.0
     rank_excess = float(tail / max(np.sum(np.abs(w_aff)), _EPS))
-    return _result(om, xhat, bvals, rank_excess, int(iters), bool(converged))
+    return _result(frame, xhat, bvals, rank_excess, int(iters), bool(converged))
 
 
 def residual(frame, xhat, b) -> float:
@@ -209,4 +224,4 @@ def residual(frame, xhat, b) -> float:
     got = measure(frame, xhat).values
     if got.shape != bvals.shape:
         raise ValidationError("measurement length does not match the frame")
-    return float(np.linalg.norm(got - bvals) / max(np.linalg.norm(bvals), _EPS))
+    return _misfit(got, bvals)

@@ -209,6 +209,10 @@ class TestMeasureReconstruct:
     def test_inf_noise_exit2(self, tmp_path, capsys):
         self.assert_noise_exit2(tmp_path, capsys, "inf")
 
+    def test_negative_noise_exit2(self, tmp_path, capsys):
+        # argparse alone would read the bare -1e-3 as an option
+        self.assert_noise_exit2(tmp_path, capsys, "-1e-3")
+
     def assert_noise_exit2(self, tmp_path, capsys, sigma):
         fpath = write_frame_2x3(tmp_path)
         spath = tmp_path / "x.json"
@@ -344,11 +348,18 @@ class TestWitnessCommand:
     @pytest.mark.parametrize("diag, name", [("-1,1,1", "a"), ("1,-1,1", "b"), ("1,1,0", "c")])
     def test_nonpositive_diag_entry_exit2(self, tmp_path, capsys, diag, name):
         out = tmp_path / "p.json"
-        # "--diag=" because argparse reads a bare "-1,1,1" as an option
         code, _, err = run(capsys, "witness", f"--diag={diag}", "-o", str(out))
         assert code == 2
         assert err.startswith(f"error [Validation]: {name} must be a finite number")
         assert not out.exists()
+
+    @pytest.mark.parametrize("diag", ["-1,1,1", "-.5,1,1", "1,-1,1"])
+    def test_bare_negative_diag_reaches_entry_check(self, tmp_path, capsys, diag):
+        # argparse alone reads a bare "-1,1,1" as an option, not as the value
+        out = str(tmp_path / "p.json")
+        bare = run(capsys, "witness", "--diag", diag, "-o", out)
+        assert bare == run(capsys, "witness", f"--diag={diag}", "-o", out)
+        assert bare[0] == 2 and "must be a finite number" in bare[2]
 
     def test_matrix_input(self, tmp_path, capsys):
         hpath = tmp_path / "h.json"

@@ -197,6 +197,11 @@ class TestRandomFrame:
         children = np.random.SeedSequence(entropy=seed).spawn(5)
         want = np.array([np.random.default_rng(c).standard_normal(6) for c in children])
         assert np.array_equal(frames_io._restart_starts(seed, 5, 6), want)
+        # a slice of the lazy starts draws only its rows, with the same bits
+        lazy = frames_io._LazyStarts(seed, 5, 6)
+        assert lazy.shape == (5, 6)
+        assert np.array_equal(lazy[:1], want[:1]) and np.array_equal(lazy[1:], want[1:])
+        assert lazy[5:].shape == (0, 6)
 
 
 class TestGenericSize:
@@ -372,6 +377,12 @@ class TestErrors:
         path = tmp_path / "b.json"
         path.write_text(json.dumps({"values": [1.0, -2.0]}))
         with pytest.raises(FileFormatError, match="values"):
+            frames_io.load_measurement(path)
+
+    def test_negative_noise_level_names_its_field(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"values": [1.0, 2.0], "noise_sigma": -1.0}))
+        with pytest.raises(FileFormatError, match="^field 'noise_sigma' must be at least 0"):
             frames_io.load_measurement(path)
 
     def test_asymmetric_matrix_rejected(self, tmp_path):

@@ -25,7 +25,8 @@ from conjpr import (
     rng_stream,
     vectorize,
 )
-from conjpr import _kernels
+from conjpr import _kernels, frames_io
+from conjpr.lift import devectorize
 from conjpr.errors import NotPSDError, UnderdeterminedError, ValidationError
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -143,6 +144,37 @@ class TestReconstructLinear:
             else:
                 assert reconstruct_linear(f, b).converged
 
+    def test_matches_lstsq_reference(self):
+        # the one-SVD solve against np.linalg.lstsq's, at N = L, L + 2 and 2L
+        # and on frames with one coordinate row scaled by 1e-3.  Scaling row
+        # M raises the lift's condition number kappa up to about 1e9; there
+        # any backward-stable solve is off by up to about kappa * eps, and two
+        # such solves differ in error by more than 10x on some 4 % of draws,
+        # so that bound joins the slack (unscaled it is below 1e-12)
+        rng = rng_stream(641, 0)
+        eps = np.finfo(np.float64).eps
+        for m in range(2, 9):
+            L = lift_dim(m)
+            for n in (L, L + 2, 2 * L):
+                for scale in (1.0, 1e-3):
+                    mat = random_frame(m, n, seed=100 * m + n).matrix.copy()
+                    mat[m - 1] *= scale
+                    f = RealFrame(mat)
+                    x = random_signal(rng, m)
+                    b = measure(f, x)
+                    om = omega_matrix(f)
+                    ref = factor_rank2(devectorize(np.linalg.lstsq(om, b.values, rcond=None)[0]))
+                    sv = np.linalg.svd(om, compute_uv=False)
+                    slack = 1e-12 + (sv[0] / sv[-1] * eps if scale != 1.0 else 0.0)
+                    result = reconstruct_linear(f, b)
+                    norm2 = np.linalg.norm(x) ** 2
+                    assert conj_class_distance(result.estimate, x) <= (
+                        10 * conj_class_distance(ref, x) + slack * norm2
+                    ), (m, n, scale)
+                    assert result.lift_residual == pytest.approx(
+                        residual(f, result.estimate, b), abs=1e-12
+                    )
+
     def test_inconsistent_measurements_not_psd(self):
         bad = Measurement(np.array([1.0, 1.0, -5.0]), noise_sigma=1.0)
         with pytest.raises(NotPSDError):
@@ -189,6 +221,34 @@ class TestReconstructAltproj:
             if alt.converged and conj_class_distance(alt.estimate, x) <= 1e-6 * np.linalg.norm(x) ** 2:
                 recovered += 1
         assert recovered >= 19
+
+    def test_lift_residual_is_the_measurement_residual(self):
+        rng = rng_stream(642, 0)
+        for m, n in ((4, 10), (5, 14), (6, 18)):
+            f = random_frame(m, n, seed=n)
+            b = measure(f, random_signal(rng, m), noise_sigma=1e-3, rng=n)
+            result = reconstruct_altproj(f, b, restarts=3, max_iter=100)
+            assert result.lift_residual == pytest.approx(
+                residual(f, result.estimate, b), abs=1e-12
+            )
+
+    def test_draws_later_starts_only_when_restart_zero_fails(self, monkeypatch):
+        drawn = []
+
+        def recording(seed, stream=0):
+            drawn.append(stream)
+            return rng_stream(seed, stream)
+
+        f = random_frame(4, 10, seed=25)
+        b = measure(f, random_signal(rng_stream(607, 0), 4))
+        g = random_frame(5, 14, seed=29)
+        bogus = Measurement(rng_stream(610, 0).uniform(1.0, 2.0, size=14))
+        monkeypatch.setattr(frames_io, "rng_stream", recording)
+        assert reconstruct_altproj(f, b, seed=1).converged
+        assert drawn == [0]
+        drawn.clear()
+        assert not reconstruct_altproj(g, bogus, restarts=5, max_iter=50).converged
+        assert drawn == [0, 1, 2, 3, 4]
 
     def test_zero_measurements(self):
         f = random_frame(3, 6, seed=27)
@@ -346,8 +406,6 @@ class TestReconstructAltproj:
         assert plain.iterations == numpy.iterations
 
     def test_monotone_affine_distance(self):
-        from conjpr.lift import devectorize
-
         f = random_frame(5, 14, seed=30)
         x = random_signal(rng_stream(611, 0), 5)
         b = measure(f, x).values
