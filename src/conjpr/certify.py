@@ -10,7 +10,7 @@ exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 One ladder, built on Omega and its SVD computed once per call, serves
 ``certify``, ``falsify_exact`` and ``falsify_search`` (which returns
 ``certify``'s pair).  Where the kernel decides, one eigendecomposition of
-its first matrix answers every step:
+its first matrix answers every step but the pencil's:
 
 * kernel dimension 0: retrievable at every M (Det2/Det3 name the square
   M = 2, 3 cases, KernelInjective the rest);
@@ -23,19 +23,30 @@ its first matrix answers every step:
   Three eigenvalues of one sign clear of round-off certify retrievability
   (KernelInertia); at most two of each sign give an exact pair by the
   spectral split (KernelWitness);
-* otherwise (kernel dimension >= 2 at M >= 4, a kernel eigenvalue too close
-  to zero to sign, or a kernel matrix that round-off leaves one-signed) the
-  question stays open: Undecided, optionally refined by a randomized search
-  on the unit sphere of the same kernel for a matrix that a pair realizes,
-  which then gives the pair (SearchWitness).  Below 4M-6 vectors, where a
-  generic frame has a pair, the search's restart 0 runs alone first.  A
-  restart that cannot hit stops at a nonzero minimum: once its Gauss-Newton
-  step predicts its squared residual to fall by at most 1e-6 of it, or when
-  that residual has not halved over a 10-iteration window.
+* M in {4, 5} with a kernel of dimension >= 2: never retrievable.  On the
+  pencil K(t) = cos t H_1 + sin t H_2 of two kernel matrices the count of
+  one sign falls from >= 3 to <= 2 between H_1 and -H_1 while the other
+  stays <= M - 3 <= 2, so a singular K(t) is realizable; the pencil's
+  eigenvalue problem finds it and the spectral split gives the pair
+  (KernelPencil);
+* otherwise (kernel dimension >= 2 at M >= 6, a kernel eigenvalue too close
+  to zero to sign, a kernel matrix that round-off leaves one-signed, or a
+  pencil pair the measurement gate rejects) the question stays open:
+  Undecided, optionally refined by a randomized search on the unit sphere
+  of the same kernel for a matrix that a pair realizes, which then gives
+  the pair (SearchWitness).  Below 4M-6 vectors, where a generic frame has
+  a pair, the search's restart 0 runs alone first.  A restart that cannot
+  hit stops at a nonzero minimum: once its Gauss-Newton step predicts its
+  squared residual to fall by at most 1e-6 of it, or when that residual has
+  not halved over a 10-iteration window.
 
-Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
-split is attached.  Undecided is an honest verdict: search failure is never
-converted into a certificate.
+A pencil or search pair is attached only when its measurements over the unit
+columns phi_k / |phi_k| agree to PAIR_GAP_TOL of their size (the measurement
+gate); a badly scaled kernel can hold round-off matrices whose pairs miss by
+far more.  Too few vectors (N <= 2M-2) never retrieve; a complement-property
+violating split is attached, and at M >= 4 a pair only when a budget above 0
+is given.  Undecided is an honest verdict: search failure is never converted
+into a certificate.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ CERT_METHODS = (
     "KernelWitness",
     "SearchWitness",
     "MonteCarlo",
+    "KernelPencil",
 )
 STRICT_VERDICTS = ("StrictlyCPR", "ComplexPRCandidate", "NotCPR", "Undecided")
 
@@ -97,6 +109,11 @@ _SEARCH_MAX_ITER = 100
 #: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2, and its kept eigenvalues
 #: must have both signs beyond ZERO_EIG_TOL.
 _SEARCH_GAP_TOL = 1e-12
+
+#: A pencil or search pair is attached only when ``_pair_gap`` over the unit
+#: columns is at most this.  Right pairs stay below 1e-10 and pairs read from
+#: round-off or badly row-scaled kernels above 1e-5.
+PAIR_GAP_TOL = 1e-8
 
 _STRICT_SEED = 0x5C1C7  # fixed: strict_report is deterministic
 #: strict_report's bound on a witness's relative conjugation gap, and its
@@ -260,7 +277,7 @@ def _decide(frame: RealFrame) -> tuple[Certificate, list]:
     kept = np.where(np.abs(w) > ZERO_EIG_TOL * scale, w, 0.0)
     if m <= 3 and not kept.min() < 0.0 < kept.max():
         kept = w
-    if not (0 < np.sum(kept > 0.0) <= 2 and 0 < np.sum(kept < 0.0) <= 2):
+    if not _realizable(kept):
         return decided("Undecided", "MonteCarlo")
     pair = _spectral_pair(kept, U, H)
     if pair.residual > _WITNESS_TOL:
@@ -275,15 +292,17 @@ def falsify_exact(frame) -> WitnessPair:
     """Counterexample pair realizing a kernel matrix of the lifted operator.
 
     Exact wherever the kernel alone decides: at M in {2, 3} a spanning frame
-    forces every kernel matrix to be indefinite, hence realizable, and at any
-    M a one-dimensional kernel is realizable when its matrix has at most two
-    eigenvalues of each sign.  The kernel vector is unit, so the pair's class
-    distance equals |Q_v|_F >= 1.  Raises NoKernelError when the kernel
-    proves no pair exists and WrongDimensionError when it leaves the
-    question open (M >= 4 with kernel dimension >= 2).
+    forces every kernel matrix to be indefinite, hence realizable; at any M a
+    one-dimensional kernel is realizable when its matrix has at most two
+    eigenvalues of each sign; and at M in {4, 5} a kernel of dimension >= 2
+    always holds a realizable matrix, which the kernel pencil finds
+    (KernelPencil, behind the measurement gate).  Raises NoKernelError when
+    the kernel proves no pair exists and WrongDimensionError when it leaves
+    the question open (M >= 6 with kernel dimension >= 2, an unsignable
+    kernel eigenvalue, or a pencil pair the gate rejects).
     """
     frame = _require_real_frame(frame, "falsify_exact")
-    cert, _ = _decide(frame)
+    cert, basis = _decide(frame)
     if cert.witness is not None:
         return cert.witness
     if cert.method == "KernelInertia":
@@ -293,8 +312,11 @@ def falsify_exact(frame) -> WitnessPair:
         )
     if cert.verdict == "CertifiedCPR":
         raise NoKernelError("lifted operator is injective; no kernel to realize")
+    pair, _ = _open_pair(frame, basis, 0, 0)
+    if pair is not None:
+        return pair
     raise WrongDimensionError(
-        "exact falsification needs M in {2, 3} or a one-dimensional kernel whose "
+        "exact falsification needs M <= 5 or a one-dimensional kernel whose "
         f"matrix the kernel test can sign; this frame has M={frame.m} and kernel "
         f"dimension {cert.kernel_dim}"
     )
@@ -308,26 +330,118 @@ def _kernel_matrices(basis: list, m: int) -> np.ndarray:
     return devectorize((q / weight[:, None]).T)
 
 
-def _search_with_stats(frame, basis: list, budget: int, seed: int):
+def _realizable(kept: np.ndarray) -> np.ndarray:
+    """Whether eigenvalues (last axis) have both signs and at most two of each."""
+    pos, neg = np.sum(kept > 0.0, axis=-1), np.sum(kept < 0.0, axis=-1)
+    return (0 < pos) & (pos <= 2) & (0 < neg) & (neg <= 2)
+
+
+def _split(kept: np.ndarray, U: np.ndarray) -> WitnessPair:
+    """The spectral split of U diag(kept) U^T, scaled to |x|^2 + |y|^2 = 2."""
+    kept = kept * (2.0 / np.sum(np.abs(kept)))
+    target = (U * kept) @ U.T
+    return _spectral_pair(kept, U, (target + target.T) / 2.0)
+
+
+def _pencil_pair(H: np.ndarray) -> WitnessPair | None:
+    """A pair realizing a matrix of the pencil K(t) = cos t H_1 + sin t H_2, or None.
+
+    ``H`` stacks Frobenius-orthonormal kernel matrices.  H_1 itself is split
+    when, with eigenvalues within ZERO_EIG_TOL zeroed, it has both signs and
+    at most two of each; None when such a zero leaves it unrealizable.
+    Otherwise K(t) is singular exactly at tan t = -1/mu, t in (0, pi), for
+    the real eigenvalues mu of H_1^-1 H_2; there K(t) is a positive multiple
+    of H_2 - mu H_1, and t grows with mu.  One stacked ``eigh`` takes those
+    matrices, each has its eigenvalue nearest 0 zeroed, and the first (in t)
+    that is left realizable is split.  At M in {4, 5} a spanning frame
+    always has such a t: the sign counts of K(t) change only where it is
+    singular, and walking from H_1 to -H_1 the count of one sign must fall
+    from >= 3 to <= 2 while the other stays <= M - 3 <= 2.
+    """
+    w, U = np.linalg.eigh(H[0])
+    kept = np.where(np.abs(w) > ZERO_EIG_TOL, w, 0.0)  # |H_1|_F = 1
+    if _realizable(kept):
+        return _split(kept, U)
+    if not kept.all():
+        return None
+    # H_1^-1 H_2 = U diag(1/w) U^T H_2 is similar to diag(1/w) U^T H_2 U
+    mu = np.linalg.eigvals((U.T @ H[1] @ U) / w[:, None])
+    mu = np.sort(mu.real[mu.imag == 0.0])
+    # scaling by 1 / sqrt(1 + mu^2) > 0 would give K(t): it changes neither
+    # the signs nor the split, which is normalized anyway
+    w, U = np.linalg.eigh(H[1] - mu[:, None, None] * H[0])
+    mag = np.abs(w)
+    w[mag == mag.min(axis=1, keepdims=True)] = 0.0
+    ok = np.flatnonzero(_realizable(w))
+    return _split(w[ok[0]], U[ok[0]]) if ok.size else None
+
+
+def _unit_columns(mat: np.ndarray) -> np.ndarray:
+    """phi_k / |phi_k|, zero columns left zero.
+
+    Column k's measurement gap scales as |phi_k|^2: on unit columns one
+    bound holds for every column, whatever the norms of the others.
+    """
+    norms = np.linalg.norm(mat, axis=0)
+    return mat / np.where(norms > 0.0, norms, 1.0)
+
+
+def _pair_gap(unit: np.ndarray, pair: WitnessPair) -> float:
+    """Relative measurement gap of a pair over the columns of ``unit``.
+
+    |b_x - b_y| / max(|b_x|, |b_y|) with b_z = (|<u_k, z>|^2)_k.  On unit
+    columns every vector counts alike, whatever the frame's column norms.
+    """
+    bx = np.abs(unit.T @ pair.x) ** 2
+    by = np.abs(unit.T @ pair.y) ** 2
+    scale = max(np.linalg.norm(bx), np.linalg.norm(by), np.finfo(np.float64).tiny)
+    return float(np.linalg.norm(bx - by) / scale)
+
+
+def _gated(pair: WitnessPair | None, unit: np.ndarray) -> WitnessPair | None:
+    """``pair`` when its unit-column measurement gap is at most PAIR_GAP_TOL, else None."""
+    return pair if pair is not None and _pair_gap(unit, pair) <= PAIR_GAP_TOL else None
+
+
+def _open_pair(frame: RealFrame, basis: list, budget: int, seed: int):
+    """(pair or None, trials) for a question the exact steps leave open.
+
+    At M in {4, 5} with kernel dimension >= 2 the pencil's pair answers, with
+    trials None.  Otherwise, or when the measurement gate rejects that pair,
+    a budget above 0 runs the search, whose pair passes the same gate; at
+    budget 0 the trials record no restart.
+    """
+    pencil = frame.m in (4, 5) and len(basis) >= 2
+    if pencil or budget > 0:
+        H = _kernel_matrices(basis, frame.m)
+        unit = _unit_columns(frame.matrix)
+        pair = _gated(_pencil_pair(H), unit) if pencil else None
+        if pair is not None:
+            return pair, None
+        if budget > 0:
+            pair, trials = _search_with_stats(unit, H, budget, seed)
+            return _gated(pair, unit), trials
+    return None, {"restarts": 0, "seed": seed}
+
+
+def _search_with_stats(unit: np.ndarray, H: np.ndarray, budget: int, seed: int):
     """Kernel-sphere search: the lowest-index hit's pair, or None, and the trial statistics.
 
-    Below 4M-6 vectors (N <= 4M-7), where a generic frame has a pair, restart
-    0 first runs alone for one stall window (``_kernels._STALL_EVERY``
+    ``unit`` holds the frame's unit columns phi_k / |phi_k| (zero columns
+    stay zero) and ``H`` its Frobenius-orthonormal kernel matrices.  Below
+    4M-6 vectors (N <= 4M-7), where a generic frame has a pair, restart 0
+    first runs alone for one stall window (``_kernels._STALL_EVERY``
     iterations).  A hit that stopped inside the window is finished and has
     the lowest index, so it is the stack's answer; otherwise all ``budget``
     restarts run as one stack, as they always do at N >= 4M-6.  The
     statistics come from the restarts that ran: on a probe hit,
     ``best_gap`` and ``best_distance`` are restart 0's, and ``restarts``
-    reports the budget either way.  Gaps are taken over the unit columns
-    phi_k / |phi_k| (zero columns stay zero), and so is ``best_gap``.
+    reports the budget either way.  Gaps are taken over the unit columns,
+    and so is ``best_gap``.
     """
-    H = _kernel_matrices(basis, frame.m)
     stats = {"restarts": budget, "seed": seed}
-    # column k's gap scales as |phi_k|^2: on unit columns one bound holds for
-    # each column, whatever the norms of the others
-    norms = np.linalg.norm(frame.matrix, axis=0)
-    unit = frame.matrix / np.where(norms > 0.0, norms, 1.0)
-    if frame.n <= 4 * frame.m - 7:
+    m, n = unit.shape
+    if n <= 4 * m - 7:
         probe = _kernels.pair_search(
             unit, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
             _kernels._STALL_EVERY,
@@ -357,9 +471,7 @@ def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
         # one sign alone would be Re(xx*) with every measurement of x zero,
         # which no spanning frame has: only round-off put it in the kernel
         if kept.min() < -ZERO_EIG_TOL and kept.max() > ZERO_EIG_TOL:
-            kept *= 2.0 / np.sum(np.abs(kept))
-            target = (U * kept) @ U.T
-            return _spectral_pair(kept, U, (target + target.T) / 2.0)
+            return _split(kept, U)
     return None
 
 
@@ -367,12 +479,14 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
     """Measurement-equal distinct pair from ``certify``'s ladder, or None.
 
     The pair is the one ``certify(frame, budget=budget, seed=seed)``
-    attaches: exact wherever the lift kernel decides, found by the
-    kernel-sphere search (``budget`` restarts, restart i drawing its start
-    from the (seed, i) stream) where the question is open.  None means no
-    pair exists (the kernel proves it) or none was found; absence of a pair
-    from a search is never a certificate.  budget >= 1 and seed >= 0 are
-    integers.
+    attaches: exact wherever the lift kernel decides, the kernel pencil's at
+    M in {4, 5} with kernel dimension >= 2, and found by the kernel-sphere
+    search (``budget`` restarts, restart i drawing its start from the
+    (seed, i) stream) where the question is still open.  A pencil or search
+    pair is returned only when its measurements over the unit columns agree
+    to PAIR_GAP_TOL.  None means no pair exists (the kernel proves it) or
+    none was found; absence of a pair from a search is never a certificate.
+    budget >= 1 and seed >= 0 are integers.
     """
     frame = _require_real_frame(frame, "falsify_search")
     budget = _check_int(budget, "budget", 1)
@@ -382,10 +496,16 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
 def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     """Decide conjugate retrievability of a real frame.
 
-    ``budget`` and ``seed`` are integers >= 0; a budget above 0 lets the open
-    M >= 4 cases run the kernel-sphere search.  A found pair upgrades the
-    verdict to NotCPR (SearchWitness), an exhausted budget reports Undecided
-    with the trial statistics.
+    ``budget`` and ``seed`` are integers >= 0.  At M in {4, 5} a kernel of
+    dimension >= 2 is answered at any budget by the kernel pencil's pair
+    (NotCPR, KernelPencil, trials None), except on frames of N <= 2M - 2
+    vectors at budget 0, which stay TooFewVectors without a pair, and where
+    the measurement gate drops that pair.  A budget
+    above 0 lets the cases still open run the kernel-sphere search: a found
+    pair upgrades the verdict to NotCPR (SearchWitness), an exhausted budget
+    reports Undecided with the trial statistics.  Pencil and search pairs
+    pass the measurement gate (relative gap <= PAIR_GAP_TOL over the unit
+    columns) or are dropped.
     """
     frame = _require_real_frame(frame, "certify")
     budget = _check_int(budget, "budget", 0)
@@ -401,7 +521,7 @@ def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
         # Both halves of this split have < m vectors, so neither spans.
         pair, trials = cert.witness, None
         if m >= 4 and budget > 0:
-            pair, trials = _search_with_stats(frame, basis, budget, seed)
+            pair, trials = _open_pair(frame, basis, budget, seed)
         return replace(
             cert,
             verdict="NotCPR",
@@ -412,14 +532,11 @@ def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
         )
     if cert.verdict != "Undecided":
         return cert
-    if budget == 0:
-        return replace(cert, trials={"restarts": 0, "seed": seed})
-    pair, trials = _search_with_stats(frame, basis, budget, seed)
-    if pair is not None:
-        return replace(
-            cert, verdict="NotCPR", method="SearchWitness", witness=pair, trials=trials
-        )
-    return replace(cert, trials=trials)
+    pair, trials = _open_pair(frame, basis, budget, seed)
+    if pair is None:
+        return replace(cert, trials=trials)
+    method = "KernelPencil" if trials is None else "SearchWitness"
+    return replace(cert, verdict="NotCPR", method=method, witness=pair, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,10 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
     ``tol`` bounds how negative an eigenvalue of the solved lift may be,
     relative to its norm, before the measurements are declared inconsistent
     (NotPSDError); with noisy data pass a tolerance matched to the noise.
+    The bound is floored at kappa * eps, kappa = s_max / s_min the condition
+    number of the operator: the solve's round-off alone moves the lift's
+    eigenvalues by about that much, so exact data on an ill-conditioned
+    lift is not refused.
     """
     tol = _check_tol(tol, positive=False)
     bvals = _values(b)
@@ -160,7 +164,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
     if sv[0] == 0.0 or sv[-1] <= KERNEL_TOL * sv[0]:
         raise UnderdeterminedError("lifted operator is numerically rank deficient")
     Q = devectorize(Vt.T @ ((U.T @ bvals) / sv))
-    xhat, discarded_abs, total_abs = _truncate_psd2(Q, tol)
+    xhat, discarded_abs, total_abs = _truncate_psd2(Q, max(tol, sv[0] / sv[-1] * _EPS))
     rank_excess = discarded_abs / max(total_abs, _EPS)
     return _result(frame, xhat, bvals, rank_excess, 0, True)
 

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +35,13 @@ from conjpr import (
     vectorize,
 )
 from conjpr.certify import (
+    PAIR_GAP_TOL,
     SEARCH_DISTANCE,
     _SEARCH_GAP_TOL,
     _SEARCH_MAX_ITER,
     _kernel_matrices,
+    _pair_gap,
+    _pencil_pair,
 )
 from conjpr.errors import (
     NoKernelError,
@@ -277,9 +281,10 @@ class TestCertify:
             cert = certify(f)
             assert (cert.method, cert.violating_subset) == (method, subset)
             assert calls == ["eigh"]
-        # M >= 4 with a kernel of dimension >= 2: no eigenvalue is computed
+        # M >= 6 with a kernel of dimension >= 2 at budget 0: no eigenvalue
+        # is computed (at M = 4, 5 the kernel pencil answers)
         calls.clear()
-        assert certify(random_frame(4, 8, seed=0)).method == "MonteCarlo"
+        assert certify(random_frame(6, 17, seed=0)).method == "MonteCarlo"
         assert calls == []
 
     @pytest.mark.parametrize("e", [1e-5, 1e-6, 1e-7, 1e-8])
@@ -316,9 +321,9 @@ class TestCertify:
         assert cert.method == "KernelInjective"
         assert cert.det_value is not None
 
-    def test_m4_below_generic_search_refines_to_notcpr(self):
-        # 8 < 4*4-6 measurements: the searcher finds a genuine pair here
-        f = random_frame(4, 8, seed=4)
+    def test_m6_below_generic_search_refines_to_notcpr(self):
+        # 16 < 4*6-6 measurements: the searcher finds a genuine pair here
+        f = random_frame(6, 16, seed=4)
         cert = certify(f, budget=50, seed=1)
         assert cert.verdict == "NotCPR"
         assert cert.method == "SearchWitness"
@@ -499,8 +504,9 @@ class TestFalsifyExact:
             falsify_exact(FRAME_2X3)
 
     def test_wrong_dimension(self):
+        # kernel dimension >= 2 is open only from M = 6 on
         with pytest.raises(WrongDimensionError):
-            falsify_exact(random_frame(4, 8, seed=0))
+            falsify_exact(random_frame(6, 17, seed=0))
 
     def test_kernel_proves_no_pair(self):
         with pytest.raises(NoKernelError, match="three eigenvalues"):
@@ -531,9 +537,13 @@ class TestFalsifySearch:
             ("KernelWitness", lambda: frame_on_cone(rotated_diag((2.0, 0.5, -1.0, -3.0), 4), 9, 4)),
             ("MonteCarlo", lambda: frame_on_cone(rotated_diag((1.0, 0.8, 1e-8, -1.2), 9), 9, 9)),
             ("TooFewVectors", lambda: random_frame(4, 6, seed=1)),
+            ("KernelPencil", lambda: random_frame(4, 8, seed=0)),
             ("SearchWitness", lambda: frame_on_cone(planted_difference(6, 603), 14, 603)),
         ],
-        ids=["m2 kernel", "m3 kernel", "kdim1 4x9", "in-band 4x9", "too few 4x6", "planted 6x14"],
+        ids=[
+            "m2 kernel", "m3 kernel", "kdim1 4x9", "in-band 4x9", "too few 4x6", "pencil 4x8",
+            "planted 6x14",
+        ],
     )
     def test_returns_the_certify_pair(self, method, build):
         # one answer per frame: the ladder's exact pair where the kernel
@@ -575,7 +585,7 @@ class TestFalsifySearch:
             falsify_search(f, budget=budget)
 
     def test_numpy_integer_budget(self):
-        f = random_frame(4, 8, seed=4)
+        f = random_frame(6, 17, seed=4)
         cert = certify(f, budget=np.int64(8), seed=1)
         assert cert.trials["restarts"] == 8 and type(cert.trials["restarts"]) is int
         assert certify(f, budget=np.int64(0)).trials == {"restarts": 0, "seed": 0}
@@ -613,6 +623,124 @@ class TestFalsifySearch:
         for f in frames:
             assert falsify_search(f, budget=10_000, seed=0) is None
             assert certify(f, budget=64).verdict == "CertifiedCPR"
+
+
+class TestKernelPencil:
+    """At M = 4, 5 a kernel of dimension >= 2 always holds a matrix a pair realizes."""
+
+    @pytest.mark.parametrize(
+        "m, n", [(4, 5), (4, 6), (4, 7), (4, 8), (5, 8), (5, 9), (5, 10), (5, 11), (5, 12), (5, 13)]
+    )
+    def test_pair_on_every_frame(self, m, n):
+        # 4x5, 4x6 and 5x8 have too few vectors: certify at budget 0 keeps
+        # TooFewVectors without a pair, and the pencil's pair is falsify_exact's
+        too_few = n <= 2 * m - 2
+        for seed in range(50):
+            f = random_frame(m, n, seed=seed)
+            cert = certify(f)
+            assert cert.trials is None and cert.kernel_dim == lift_dim(m) - n
+            pair = falsify_exact(f)
+            verify_witness(f, pair)
+            assert _pair_gap(unit_columns(f), pair) <= PAIR_GAP_TOL
+            if too_few:
+                assert (cert.method, cert.witness) == ("TooFewVectors", None)
+            else:
+                assert (cert.verdict, cert.method) == ("NotCPR", "KernelPencil")
+                assert pair.x.tobytes() == cert.witness.x.tobytes()
+
+    def test_budget_zero_4x8(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair_search ran where the pencil answers")
+
+        monkeypatch.setattr(_kernels, "pair_search", refuse)
+        f = random_frame(4, 8, seed=0)
+        cert = certify(f)
+        assert (cert.verdict, cert.method, cert.kernel_dim, cert.trials) == (
+            "NotCPR", "KernelPencil", 2, None
+        )
+        verify_witness(f, cert.witness, dist_floor=1.0)
+        searched = certify(f, budget=64, seed=3)
+        assert searched.method == "KernelPencil" and searched.trials is None
+        assert searched.witness.x.tobytes() == cert.witness.x.tobytes()
+        assert falsify_search(f, budget=64).y.tobytes() == cert.witness.y.tobytes()
+
+    def test_too_few_vectors_at_m4(self, monkeypatch):
+        # N <= 2M - 2 is NotCPR by counting: budget 0 attaches no pair, a
+        # budget above 0 attaches the pencil's and runs no restart
+        f = random_frame(4, 6, seed=1)
+        cert = certify(f)
+        assert (cert.verdict, cert.method, cert.witness, cert.trials) == (
+            "NotCPR", "TooFewVectors", None, None
+        )
+        monkeypatch.setattr(_kernels, "pair_search", None)
+        paired = certify(f, budget=8)
+        assert (paired.verdict, paired.method, paired.trials) == ("NotCPR", "TooFewVectors", None)
+        verify_witness(f, paired.witness)
+        assert paired.witness.x.tobytes() == falsify_exact(f).x.tobytes()
+
+    def test_crossing_of_an_unrealizable_first_matrix(self):
+        # H_1 of inertia (3, 1) or (3, 2) is no pair's; the pencil still has
+        # a singular matrix with at most two eigenvalues of each sign
+        rng = rng_stream(33, 0)
+        for eigs in ((1.0, 0.7, 0.4, -1.0), (1.0, 0.7, 0.4, -1.0, -0.5)):
+            m = len(eigs)
+            for _ in range(25):
+                h1 = rotated_diag(eigs, seed=int(rng.integers(1 << 30)))
+                h2 = symmetrized(rng.standard_normal((m, m)))
+                h1 /= np.linalg.norm(h1)
+                h2 -= np.sum(h1 * h2) * h1
+                h2 /= np.linalg.norm(h2)
+                pair = _pencil_pair(np.stack([h1, h2]))
+                assert pair is not None and pair.residual <= 1e-12
+                t = pair.target
+                coef = [np.sum(t * h1), np.sum(t * h2)]
+                assert np.linalg.norm(t - coef[0] * h1 - coef[1] * h2) <= 1e-12 * np.linalg.norm(t)
+                assert np.abs(np.linalg.eigvalsh(t)).min() <= 1e-12 * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("column", [0, 5])
+    def test_gate_rejects_round_off_pencil_pairs(self, column):
+        # a column at norm 1e5 leaves a numerical kernel of round-off: the
+        # pencil splits a matrix of it, and only the measurement gate keeps
+        # that pair off the certificate
+        for seed in range(4):
+            mat = random_frame(4, 10, seed=seed).matrix.copy()
+            mat[:, column] *= 1e5
+            f = RealFrame(mat)
+            cert = certify(f)
+            assert cert.kernel_dim >= 2
+            assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
+            assert cert.trials == {"restarts": 0, "seed": 0}
+            pair = _pencil_pair(_kernel_matrices(kernel_basis(omega_matrix(f)), 4))
+            assert pair is None or _pair_gap(unit_columns(f), pair) > PAIR_GAP_TOL
+            with pytest.raises(WrongDimensionError):
+                falsify_exact(f)
+
+
+class TestMeasurementGate:
+    @pytest.mark.parametrize("seed", range(101, 117))
+    def test_row_scaled_6x18_is_never_notcpr(self, seed):
+        # N = 4M - 6 frames retrieve, and so do their row scalings; the
+        # search's hits there are round-off whose measurements differ by
+        # 2.5e-3 to 1.1e-1 of their size, which the gate drops
+        mat = random_frame(6, 18, seed=seed).matrix.copy()
+        mat[0] *= 1e3
+        mat[5] *= 1e-2
+        cert = certify(RealFrame(mat), budget=64, seed=seed % 7)
+        assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
+        assert cert.trials["restarts"] == 64
+
+    def test_gap_is_relative_and_unit_column(self):
+        f = random_frame(4, 8, seed=0)
+        pair = certify(f).witness
+        unit = unit_columns(f)
+        gap = _pair_gap(unit, pair)
+        assert gap <= 1e-13
+        # the same pair on the frame with rescaled columns: the same gap
+        scaled = unit * np.array([1e5, 1.0, 1e-3, 1.0, 1.0, 2.0, 1.0, 1.0])
+        assert _pair_gap(unit_columns(RealFrame(scaled)), pair) == pytest.approx(gap, abs=1e-15)
+        # a perturbed pair is measured against its measurements' size
+        moved = replace(pair, y=pair.y * (1.0 + 1e-6))
+        assert _pair_gap(unit, moved) == pytest.approx(2e-6, rel=1e-3)
 
 
 class TestPairSearchKernel:
@@ -727,7 +855,11 @@ class TestSearchProbe:
         kept = np.where(_kernels.residual_mask(w), 0.0, w)
         kept *= 2.0 / np.sum(np.abs(kept))
         target = (U * kept) @ U.T
-        return _spectral_pair(kept, U, (target + target.T) / 2.0), trials, iters
+        pair = _spectral_pair(kept, U, (target + target.T) / 2.0)
+        # the measurement gate: a pair whose unit-column gap exceeds it is dropped
+        if _pair_gap(unit_columns(f), pair) > PAIR_GAP_TOL:
+            return None, trials, iters
+        return pair, trials, iters
 
     def assert_same_answer(self, f, seed):
         pair, trials, iters = self.stack(f, seed, self.BUDGET)
@@ -742,14 +874,14 @@ class TestSearchProbe:
                 assert a.tobytes() == b.tobytes()
         return cert, trials, iters
 
-    @pytest.mark.parametrize("m, n", [(4, 8), (5, 11), (6, 14)])
+    @pytest.mark.parametrize("m, n", [(6, 12), (6, 14), (7, 18)])
     def test_planted(self, m, n):
         for seed in range(3):
             f = frame_on_cone(planted_difference(m, 700 + seed), n, 700 + seed)
             self.assert_same_answer(f, seed)
 
     @pytest.mark.parametrize("scale", [1e5, 1e-3])
-    @pytest.mark.parametrize("m, n", [(4, 8), (5, 11), (6, 14)])
+    @pytest.mark.parametrize("m, n", [(6, 12), (6, 14), (7, 18)])
     def test_planted_at_scale(self, m, n, scale):
         # column k's measurement gap grows as |phi_k|^2; the hit rule divides it out
         for seed in range(3):
@@ -773,18 +905,18 @@ class TestSearchProbe:
             assert cert.kernel_dim >= 2
             assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
 
-    @pytest.mark.parametrize("m, n", [(5, 12), (6, 17), (7, 21)])
+    @pytest.mark.parametrize("m, n", [(6, 16), (6, 17), (7, 21)])
     def test_generic(self, m, n):
         for seed in range(3):
             self.assert_same_answer(random_frame(m, n, seed=seed), seed)
 
     def test_probe_hit_reports_restart_zero(self):
-        f = random_frame(5, 12, seed=0)
+        f = random_frame(6, 17, seed=0)
         cert, trials, iters = self.assert_same_answer(f, 0)
         assert cert.method == "SearchWitness" and iters[0] < _kernels._STALL_EVERY
         _, _, fmeas, ds, _ = _kernels.pair_search(
-            unit_columns(f), frames_io._restart_starts(0, 1, 3), SEARCH_DISTANCE,
-            _kernel_matrices(kernel_basis(omega_matrix(f)), 5), _kernels._STALL_EVERY,
+            unit_columns(f), frames_io._restart_starts(0, 1, 4), SEARCH_DISTANCE,
+            _kernel_matrices(kernel_basis(omega_matrix(f)), 6), _kernels._STALL_EVERY,
         )
         assert cert.trials == {
             "restarts": self.BUDGET,
@@ -827,7 +959,7 @@ class TestSearchProbe:
             return search(phi, starts, delta, H, max_iter)
 
         monkeypatch.setattr(_kernels, "pair_search", record)
-        certify(random_frame(5, 12, seed=0), budget=64)  # probe hit
+        certify(random_frame(6, 17, seed=0), budget=64)  # probe hit
         assert calls == [(1, _kernels._STALL_EVERY)]
         calls.clear()
         certify(random_frame(6, 17, seed=1), budget=64)  # probe miss

@@ -261,13 +261,22 @@ class TestFalsify:
         assert doc["restarts"] == 0
 
     def test_search_budget_reported(self, tmp_path, capsys):
-        # 4x8 has kernel dimension 2: only here does the search run
+        # 6x17 has kernel dimension 4: at M >= 6 the search runs
+        path = tmp_path / "f.json"
+        frames_io.save_frame(random_frame(6, 17, seed=18), path)
+        code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "100", "--json")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["restarts"] == 100
+
+    def test_kernel_pencil_runs_no_restart(self, tmp_path, capsys):
+        # 4x8 has kernel dimension 2: at M = 4, 5 the kernel pencil answers
         path = tmp_path / "f.json"
         frames_io.save_frame(random_frame(4, 8, seed=18), path)
         code, stdout, _ = run(capsys, "falsify", str(path), "--budget", "100", "--json")
         assert code == 0
         doc = json.loads(stdout)
-        assert doc["restarts"] == 100
+        assert doc["found"] is True and doc["restarts"] == 0
 
     def test_injective_lift_runs_no_restart(self, tmp_path, capsys):
         path = tmp_path / "f.json"

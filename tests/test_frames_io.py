@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,15 @@ class TestRoundTrips:
         back, wfile = frames_io.load_certificate(path)
         assert back == cert
         assert wfile is None
+
+    def test_kernel_pencil_certificate_roundtrip(self, tmp_path):
+        cert = certify(random_frame(4, 8, seed=0))
+        assert (cert.method, cert.trials) == ("KernelPencil", None)
+        path = tmp_path / "c.json"
+        frames_io.save_certificate(cert, path, witness_file="c.witness.json")
+        back, wfile = frames_io.load_certificate(path)
+        assert back == replace(cert, witness=None)
+        assert wfile == "c.witness.json"
 
     def test_search_trials_roundtrip(self, tmp_path):
         # generic 6x18: the search runs and reports its statistics

@@ -184,6 +184,20 @@ class TestReconstructLinear:
         with pytest.raises(ValidationError):
             reconstruct_linear(FRAME_2X3, Measurement(np.ones(4)))
 
+    @pytest.mark.parametrize("m, seed", [(7, 46), (8, 246), (8, 252), (8, 261), (8, 294)])
+    def test_ill_conditioned_lift_takes_exact_data(self, m, seed):
+        # with row m-1 scaled by 1e-3, kappa(omega) is 4.6e8 to 1.6e9 and the
+        # solved lift's lowest eigenvalue is about -0.1 kappa eps |Q|, below
+        # the default tol of 1e-8 |Q|: the floor kappa eps lets it through
+        mat = random_frame(m, m * (m + 1) // 2, seed=seed).matrix.copy()
+        mat[m - 1] *= 1e-3
+        rng = rng_stream(seed, 1)
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        f = RealFrame(mat)
+        result = reconstruct_linear(f, measure(f, x))
+        assert result.converged
+        assert conj_class_distance(result.estimate, x) <= 1e-6 * np.linalg.norm(x) ** 2
+
     def test_noise_degrades_gracefully(self):
         rng = rng_stream(606, 0)
         f = random_frame(3, 6, seed=24)
