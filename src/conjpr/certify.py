@@ -9,8 +9,8 @@ exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 
 One ladder, built on Omega and its SVD computed once per call, serves
 ``certify``, ``falsify_exact`` and ``falsify_search`` (which returns
-``certify``'s pair).  Where the kernel decides, one eigendecomposition of
-its first matrix answers every step but the pencil's:
+``certify``'s pair).  Where the kernel decides, every exact step starts
+from one eigendecomposition of its first matrix H_1, as the SVD gives it:
 
 * kernel dimension 0: retrievable at every M (Det2/Det3 name the square
   M = 2, 3 cases, KernelInjective the rest);
@@ -24,29 +24,33 @@ its first matrix answers every step but the pencil's:
   (KernelInertia); at most two of each sign give an exact pair by the
   spectral split (KernelWitness);
 * M in {4, 5} with a kernel of dimension >= 2: never retrievable.  On the
-  pencil K(t) = cos t H_1 + sin t H_2 of two kernel matrices the count of
-  one sign falls from >= 3 to <= 2 between H_1 and -H_1 while the other
-  stays <= M - 3 <= 2, so a singular K(t) is realizable; the pencil's
-  eigenvalue problem finds it and the spectral split gives the pair
+  pencil K(t) = cos t H_1 + sin t H_2 of the first two kernel matrices the
+  count of one sign falls from >= 3 to <= 2 between H_1 and -H_1 while the
+  other stays <= M - 3 <= 2, so a singular K(t) is realizable; H_1 itself
+  when it is, else the pencil's eigenvalue problem, solved on the same
+  eigenpairs of H_1, finds it, and the spectral split gives the pair
   (KernelPencil);
 * otherwise (kernel dimension >= 2 at M >= 6, a kernel eigenvalue too close
   to zero to sign, a kernel matrix that round-off leaves one-signed, or a
-  pencil pair the measurement gate rejects) the question stays open:
-  Undecided, optionally refined by a randomized search on the unit sphere
-  of the same kernel for a matrix that a pair realizes, which then gives
-  the pair (SearchWitness).  Below 4M-6 vectors, where a generic frame has
-  a pair, the search's restart 0 runs alone first.  A restart that cannot
-  hit stops at a nonzero minimum: once its Gauss-Newton step predicts its
-  squared residual to fall by at most 1e-6 of it, or when that residual has
-  not halved over a 10-iteration window.
+  pair the measurement gate rejects) the question stays open: Undecided,
+  optionally refined by a randomized search on the unit sphere of the same
+  kernel, in a Frobenius-orthonormal basis, for a matrix that a pair
+  realizes, which then gives the pair (SearchWitness).  Below 4M-6 vectors,
+  where a generic frame has a pair, the search's restart 0 runs alone
+  first.  A restart that cannot hit stops at a nonzero minimum: once its
+  Gauss-Newton step predicts its squared residual to fall by at most 1e-6
+  of it, or when that residual has not halved over a 10-iteration window.
 
-A pencil or search pair is attached only when its measurements over the unit
+At M >= 4 a pair is attached only when its measurements over the unit
 columns phi_k / |phi_k| agree to PAIR_GAP_TOL of their size (the measurement
 gate); a badly scaled kernel can hold round-off matrices whose pairs miss by
-far more.  Too few vectors (N <= 2M-2) never retrieve; a complement-property
-violating split is attached, and at M >= 4 a pair only when a budget above 0
-is given.  Undecided is an honest verdict: search failure is never converted
-into a certificate.
+far more.  The search attaches the first hit, in restart order, that passes.
+At M <= 3 exact pairs are not gated: there every kernel matrix is
+realizable, and the gate would drop right pairs of badly scaled frames.  Too few vectors
+(N <= 2M-2) never retrieve; a complement-property violating split is
+attached, and at M >= 4 a pair only when a budget above 0 is given.
+Undecided is an honest verdict: search failure is never converted into a
+certificate.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import numpy as np
 
 from .algebra import is_phased_real
 from .errors import (
-    IndefinitenessViolationError,
     NoKernelError,
     ValidationError,
     WrongDimensionError,
@@ -104,13 +107,8 @@ _WITNESS_TOL = 1e-9
 #: eigenvalues, Cauchy-Schwarz), so no hit is ever held to it.
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
-#: Bound on a hit's squared measurement gap over the unit columns (column k's
-#: gap divided by |phi_k|^2, which it scales as); its spectral residual must be
-#: at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2, and its kept eigenvalues
-#: must have both signs beyond ZERO_EIG_TOL.
-_SEARCH_GAP_TOL = 1e-12
 
-#: A pencil or search pair is attached only when ``_pair_gap`` over the unit
+#: A pair is attached at M >= 4 only when ``_pair_gap`` over the unit
 #: columns is at most this.  Right pairs stay below 1e-10 and pairs read from
 #: round-off or badly row-scaled kernels above 1e-5.
 PAIR_GAP_TOL = 1e-8
@@ -239,20 +237,23 @@ def _det_certifies(om: np.ndarray, det: float) -> bool:
     return abs(det) > 1e-10 * bound
 
 
-def _decide(frame: RealFrame) -> tuple[Certificate, list]:
+def _decide(frame: RealFrame, *, pencil: bool = True) -> tuple[Certificate, list]:
     """The exact steps of the ladder: Undecided/MonteCarlo when they do not decide.
 
     Builds Omega and its SVD once and returns the kernel basis for the
     search.  One ``eigh`` of the first kernel matrix H answers every exact
-    step with a kernel (M <= 3, or M >= 4 with a one-dimensional kernel):
-    three eigenvalues of one sign beyond INERTIA_MARGIN |H|_F certify at
-    M >= 4; otherwise the eigenvalues within ZERO_EIG_TOL |H|_F are zeroed and
-    the rest, when they have both signs and at most two of each, give the
-    pair by the spectral split.  At M <= 3 a spanning frame's H has both
-    signs, so when zeroing leaves one sign (the e^2/4 eigenvalue of
-    [[1, 1], [0, e]]) the unthresholded eigenvalues are split; at M >= 4 the
-    signs decide whether a pair exists, and round-off does not sign one.  At
-    M = 2 the same eigenvectors give the violating split.
+    step with a kernel (M <= 3, M >= 4 with a one-dimensional kernel, and
+    M in {4, 5} with a larger one): three eigenvalues of one sign beyond
+    INERTIA_MARGIN |H|_F certify a one-dimensional kernel at M >= 4;
+    otherwise the eigenvalues within ZERO_EIG_TOL |H|_F are zeroed and
+    ``_kernel_pair`` splits H, or at M in {4, 5} a singular matrix of the
+    pencil of H and the second kernel matrix.  At M <= 3 a spanning frame's
+    H has both signs, so when zeroing leaves one sign (the e^2/4 eigenvalue
+    of [[1, 1], [0, e]]) the unthresholded eigenvalues are split.  At M >= 4
+    the signs decide whether a pair exists, round-off does not sign one, and
+    the pair must pass the measurement gate.  At M = 2 the same eigenvectors
+    give the violating split.  ``pencil=False`` leaves a kernel of dimension
+    >= 2 at M in {4, 5} open.
     """
     m, n = frame.m, frame.n
     om = omega_matrix(frame)
@@ -266,26 +267,26 @@ def _decide(frame: RealFrame) -> tuple[Certificate, list]:
     if kdim == 0:
         square = m in (2, 3) and det_val is not None and _det_certifies(om, det_val)
         return decided("CertifiedCPR", f"Det{m}" if square else "KernelInjective")
-    if m >= 4 and kdim >= 2:
+    pencil = pencil and m in (4, 5) and kdim >= 2
+    if m >= 4 and kdim >= 2 and not pencil:
         return decided("Undecided", "MonteCarlo")
     H = devectorize(basis[0])
     w, U = np.linalg.eigh(H)
     scale = np.linalg.norm(H)
     margin = INERTIA_MARGIN * scale
-    if m >= 4 and max(np.sum(w > margin), np.sum(w < -margin)) >= 3:
+    if m >= 4 and kdim == 1 and max(np.sum(w > margin), np.sum(w < -margin)) >= 3:
         return decided("CertifiedCPR", "KernelInertia")
     kept = np.where(np.abs(w) > ZERO_EIG_TOL * scale, w, 0.0)
     if m <= 3 and not kept.min() < 0.0 < kept.max():
         kept = w
-    if not _realizable(kept):
+    pair = _kernel_pair(kept, U, H, devectorize(basis[1]) if pencil else None)
+    if m >= 4:
+        pair = _gated(pair, _unit_columns(frame.matrix))
+    if pair is None:
         return decided("Undecided", "MonteCarlo")
-    pair = _spectral_pair(kept, U, H)
-    if pair.residual > _WITNESS_TOL:
-        raise IndefinitenessViolationError(
-            f"witness synthesis residual {pair.residual:.2e} exceeds tol"
-        )
     subset = _m2_violating_subset(frame.matrix, U) if m == 2 else None
-    return decided("NotCPR", "KernelWitness", witness=pair, violating_subset=subset)
+    method = "KernelPencil" if pencil else "KernelWitness"
+    return decided("NotCPR", method, witness=pair, violating_subset=subset)
 
 
 def falsify_exact(frame) -> WitnessPair:
@@ -296,13 +297,14 @@ def falsify_exact(frame) -> WitnessPair:
     one-dimensional kernel is realizable when its matrix has at most two
     eigenvalues of each sign; and at M in {4, 5} a kernel of dimension >= 2
     always holds a realizable matrix, which the kernel pencil finds
-    (KernelPencil, behind the measurement gate).  Raises NoKernelError when
-    the kernel proves no pair exists and WrongDimensionError when it leaves
-    the question open (M >= 6 with kernel dimension >= 2, an unsignable
-    kernel eigenvalue, or a pencil pair the gate rejects).
+    (KernelPencil).  At M >= 4 the pair must pass the measurement gate.
+    Raises NoKernelError when the kernel proves no pair exists and
+    WrongDimensionError when it leaves the question open (M >= 6 with kernel
+    dimension >= 2, an unsignable kernel eigenvalue, or a pair the gate
+    rejects).
     """
     frame = _require_real_frame(frame, "falsify_exact")
-    cert, basis = _decide(frame)
+    cert, _ = _decide(frame)
     if cert.witness is not None:
         return cert.witness
     if cert.method == "KernelInertia":
@@ -312,13 +314,11 @@ def falsify_exact(frame) -> WitnessPair:
         )
     if cert.verdict == "CertifiedCPR":
         raise NoKernelError("lifted operator is injective; no kernel to realize")
-    pair, _ = _open_pair(frame, basis, 0, 0)
-    if pair is not None:
-        return pair
     raise WrongDimensionError(
         "exact falsification needs M <= 5 or a one-dimensional kernel whose "
-        f"matrix the kernel test can sign; this frame has M={frame.m} and kernel "
-        f"dimension {cert.kernel_dim}"
+        "matrix the kernel test can sign, and at M >= 4 a pair that passes the "
+        f"measurement gate; this frame has M={frame.m} and kernel dimension "
+        f"{cert.kernel_dim}"
     )
 
 
@@ -336,44 +336,39 @@ def _realizable(kept: np.ndarray) -> np.ndarray:
     return (0 < pos) & (pos <= 2) & (0 < neg) & (neg <= 2)
 
 
-def _split(kept: np.ndarray, U: np.ndarray) -> WitnessPair:
-    """The spectral split of U diag(kept) U^T, scaled to |x|^2 + |y|^2 = 2."""
-    kept = kept * (2.0 / np.sum(np.abs(kept)))
-    target = (U * kept) @ U.T
-    return _spectral_pair(kept, U, (target + target.T) / 2.0)
+def _kernel_pair(kept: np.ndarray, U: np.ndarray, H: np.ndarray, H2=None) -> WitnessPair | None:
+    """The spectral split of H, or of a singular matrix of its pencil with H2, or None.
 
-
-def _pencil_pair(H: np.ndarray) -> WitnessPair | None:
-    """A pair realizing a matrix of the pencil K(t) = cos t H_1 + sin t H_2, or None.
-
-    ``H`` stacks Frobenius-orthonormal kernel matrices.  H_1 itself is split
-    when, with eigenvalues within ZERO_EIG_TOL zeroed, it has both signs and
-    at most two of each; None when such a zero leaves it unrealizable.
-    Otherwise K(t) is singular exactly at tan t = -1/mu, t in (0, pi), for
-    the real eigenvalues mu of H_1^-1 H_2; there K(t) is a positive multiple
-    of H_2 - mu H_1, and t grows with mu.  One stacked ``eigh`` takes those
-    matrices, each has its eigenvalue nearest 0 zeroed, and the first (in t)
-    that is left realizable is split.  At M in {4, 5} a spanning frame
-    always has such a t: the sign counts of K(t) change only where it is
-    singular, and walking from H_1 to -H_1 the count of one sign must fall
-    from >= 3 to <= 2 while the other stays <= M - 3 <= 2.
+    ``kept`` holds the eigenvalues of H, with those that count as zero
+    zeroed, and ``U`` its eigenvectors.  H is split when they have both
+    signs and at most two of each.  Otherwise, given H2 and no zeroed
+    eigenvalue, K(t) = cos t H + sin t H2 is singular exactly at
+    tan t = -1/mu, t in (0, pi), for the real eigenvalues mu of H^-1 H2;
+    there K(t) is a positive multiple of H2 - mu H, and t grows with mu.  One
+    stacked ``eigh`` takes those matrices, each has its eigenvalue nearest 0
+    zeroed, and the first (in t) that is left realizable is split.  At M in
+    {4, 5}, for any two independent kernel matrices of a spanning frame, such
+    a t exists: the sign counts of K(t) change only where it is singular, and
+    walking from H to -H the count of one sign must fall from >= 3 to <= 2
+    while the other stays <= M - 3 <= 2.  The pair's target is the matrix it
+    splits, as given; a residual above _WITNESS_TOL leaves no pair.
     """
-    w, U = np.linalg.eigh(H[0])
-    kept = np.where(np.abs(w) > ZERO_EIG_TOL, w, 0.0)  # |H_1|_F = 1
-    if _realizable(kept):
-        return _split(kept, U)
-    if not kept.all():
-        return None
-    # H_1^-1 H_2 = U diag(1/w) U^T H_2 is similar to diag(1/w) U^T H_2 U
-    mu = np.linalg.eigvals((U.T @ H[1] @ U) / w[:, None])
-    mu = np.sort(mu.real[mu.imag == 0.0])
-    # scaling by 1 / sqrt(1 + mu^2) > 0 would give K(t): it changes neither
-    # the signs nor the split, which is normalized anyway
-    w, U = np.linalg.eigh(H[1] - mu[:, None, None] * H[0])
-    mag = np.abs(w)
-    w[mag == mag.min(axis=1, keepdims=True)] = 0.0
-    ok = np.flatnonzero(_realizable(w))
-    return _split(w[ok[0]], U[ok[0]]) if ok.size else None
+    if not _realizable(kept):
+        if H2 is None or not kept.all():
+            return None
+        # H^-1 H2 = U diag(1/kept) U^T H2 is similar to diag(1/kept) U^T H2 U
+        mu = np.linalg.eigvals((U.T @ H2 @ U) / kept[:, None])
+        mu = np.sort(mu.real[mu.imag == 0.0])
+        K = H2 - mu[:, None, None] * H
+        w, V = np.linalg.eigh(K)
+        mag = np.abs(w)
+        w[mag == mag.min(axis=1, keepdims=True)] = 0.0
+        ok = np.flatnonzero(_realizable(w))
+        if not ok.size:
+            return None
+        kept, U, H = w[ok[0]], V[ok[0]], K[ok[0]]
+    pair = _spectral_pair(kept, U, H)
+    return pair if pair.residual <= _WITNESS_TOL else None
 
 
 def _unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -404,40 +399,30 @@ def _gated(pair: WitnessPair | None, unit: np.ndarray) -> WitnessPair | None:
 
 
 def _open_pair(frame: RealFrame, basis: list, budget: int, seed: int):
-    """(pair or None, trials) for a question the exact steps leave open.
+    """(pair or None, trials) from the kernel-sphere search, for a question the exact steps leave open.
 
-    At M in {4, 5} with kernel dimension >= 2 the pencil's pair answers, with
-    trials None.  Otherwise, or when the measurement gate rejects that pair,
-    a budget above 0 runs the search, whose pair passes the same gate; at
-    budget 0 the trials record no restart.
+    At budget 0 no search runs and the trials record no restart.
     """
-    pencil = frame.m in (4, 5) and len(basis) >= 2
-    if pencil or budget > 0:
-        H = _kernel_matrices(basis, frame.m)
-        unit = _unit_columns(frame.matrix)
-        pair = _gated(_pencil_pair(H), unit) if pencil else None
-        if pair is not None:
-            return pair, None
-        if budget > 0:
-            pair, trials = _search_with_stats(unit, H, budget, seed)
-            return _gated(pair, unit), trials
-    return None, {"restarts": 0, "seed": seed}
+    if budget == 0:
+        return None, {"restarts": 0, "seed": seed}
+    H = _kernel_matrices(basis, frame.m)
+    return _search_with_stats(_unit_columns(frame.matrix), H, budget, seed)
 
 
 def _search_with_stats(unit: np.ndarray, H: np.ndarray, budget: int, seed: int):
-    """Kernel-sphere search: the lowest-index hit's pair, or None, and the trial statistics.
+    """Kernel-sphere search: the lowest-index hit's gated pair, or None, and the trial statistics.
 
     ``unit`` holds the frame's unit columns phi_k / |phi_k| (zero columns
     stay zero) and ``H`` its Frobenius-orthonormal kernel matrices.  Below
     4M-6 vectors (N <= 4M-7), where a generic frame has a pair, restart 0
     first runs alone for one stall window (``_kernels._STALL_EVERY``
     iterations).  A hit that stopped inside the window is finished and has
-    the lowest index, so it is the stack's answer; otherwise all ``budget``
-    restarts run as one stack, as they always do at N >= 4M-6.  The
-    statistics come from the restarts that ran: on a probe hit,
-    ``best_gap`` and ``best_distance`` are restart 0's, and ``restarts``
-    reports the budget either way.  Gaps are taken over the unit columns,
-    and so is ``best_gap``.
+    the lowest index, so when its pair passes the gate it is the stack's
+    answer; otherwise all ``budget`` restarts run as one stack, as they
+    always do at N >= 4M-6.  The statistics come from the restarts that ran:
+    on a probe hit, ``best_gap`` and ``best_distance`` are restart 0's, and
+    ``restarts`` reports the budget either way.  Gaps are taken over the
+    unit columns, and so is ``best_gap``.
     """
     stats = {"restarts": budget, "seed": seed}
     m, n = unit.shape
@@ -447,31 +432,38 @@ def _search_with_stats(unit: np.ndarray, H: np.ndarray, budget: int, seed: int):
             _kernels._STALL_EVERY,
         )
         if probe[4][0] < _kernels._STALL_EVERY:
-            pair = _search_pair(probe, H, stats)
+            pair = _search_pair(probe, H, unit, stats)
             if pair is not None:
                 return pair, stats
     run = _kernels.pair_search(
         unit, _restart_starts(seed, budget, len(H)), SEARCH_DISTANCE, H,
         _SEARCH_MAX_ITER,
     )
-    return _search_pair(run, H, stats), stats
+    return _search_pair(run, H, unit, stats), stats
 
 
-def _search_pair(run, H: np.ndarray, stats: dict) -> WitnessPair | None:
-    """The pair of a ``pair_search`` run's lowest-index hit, or None; fills ``stats``."""
+def _search_pair(run, H: np.ndarray, unit: np.ndarray, stats: dict) -> WitnessPair | None:
+    """The first pair, in restart order, of a ``pair_search`` hit that passes the gate; fills ``stats``.
+
+    A hit's spectral residual is at most ``_kernels._HIT_F`` = ZERO_EIG_TOL**2,
+    and its kept eigenvalues must have both signs beyond ZERO_EIG_TOL.
+    """
     cs, fs, fmeas, ds, _ = run
-    success = (fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL)
     best = int(np.argmin(fs))
     stats["best_gap"] = float(np.sqrt(fmeas[best]))
     stats["best_distance"] = float(ds[best])
-    for r in np.flatnonzero(success):
+    for r in np.flatnonzero(fs <= _kernels._HIT_F):
         # zero the residual eigenvalues and split the rest, at |x|^2 + |y|^2 = 2
         w, U = np.linalg.eigh(np.tensordot(cs[r], H, 1))
         kept = np.where(_kernels.residual_mask(w), 0.0, w)
         # one sign alone would be Re(xx*) with every measurement of x zero,
         # which no spanning frame has: only round-off put it in the kernel
         if kept.min() < -ZERO_EIG_TOL and kept.max() > ZERO_EIG_TOL:
-            return _split(kept, U)
+            kept *= 2.0 / np.sum(np.abs(kept))
+            target = (U * kept) @ U.T
+            pair = _gated(_spectral_pair(kept, U, (target + target.T) / 2.0), unit)
+            if pair is not None:
+                return pair
     return None
 
 
@@ -482,9 +474,9 @@ def falsify_search(frame, budget: int = 10_000, seed: int = 0) -> WitnessPair | 
     attaches: exact wherever the lift kernel decides, the kernel pencil's at
     M in {4, 5} with kernel dimension >= 2, and found by the kernel-sphere
     search (``budget`` restarts, restart i drawing its start from the
-    (seed, i) stream) where the question is still open.  A pencil or search
-    pair is returned only when its measurements over the unit columns agree
-    to PAIR_GAP_TOL.  None means no pair exists (the kernel proves it) or
+    (seed, i) stream) where the question is still open.  At M >= 4 every
+    pair's measurements over the unit columns agree to PAIR_GAP_TOL (the
+    measurement gate).  None means no pair exists (the kernel proves it) or
     none was found; absence of a pair from a search is never a certificate.
     budget >= 1 and seed >= 0 are integers.
     """
@@ -499,13 +491,13 @@ def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
     ``budget`` and ``seed`` are integers >= 0.  At M in {4, 5} a kernel of
     dimension >= 2 is answered at any budget by the kernel pencil's pair
     (NotCPR, KernelPencil, trials None), except on frames of N <= 2M - 2
-    vectors at budget 0, which stay TooFewVectors without a pair, and where
-    the measurement gate drops that pair.  A budget
+    vectors at budget 0, which stay TooFewVectors without a pair.  At
+    M >= 4 every exact pair (KernelWitness or KernelPencil) and every search
+    pair passes the measurement gate (relative gap <= PAIR_GAP_TOL over the
+    unit columns) or is dropped, which leaves the question open.  A budget
     above 0 lets the cases still open run the kernel-sphere search: a found
     pair upgrades the verdict to NotCPR (SearchWitness), an exhausted budget
-    reports Undecided with the trial statistics.  Pencil and search pairs
-    pass the measurement gate (relative gap <= PAIR_GAP_TOL over the unit
-    columns) or are dropped.
+    reports Undecided with the trial statistics.
     """
     frame = _require_real_frame(frame, "certify")
     budget = _check_int(budget, "budget", 0)
@@ -515,12 +507,15 @@ def certify(frame, *, budget: int = 0, seed: int = 0) -> Certificate:
 def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
     """The ladder behind ``certify`` and ``falsify_search``, on checked arguments."""
     m, n = frame.m, frame.n
-    cert, basis = _decide(frame)
+    too_few = m >= 2 and n <= 2 * m - 2
+    # counting decides a TooFewVectors frame; at budget 0 it gets no pair,
+    # which spares every such call the pencil
+    cert, basis = _decide(frame, pencil=budget > 0 or not too_few)
 
-    if m >= 2 and n <= 2 * m - 2:
+    if too_few:
         # Both halves of this split have < m vectors, so neither spans.
         pair, trials = cert.witness, None
-        if m >= 4 and budget > 0:
+        if pair is None and m >= 4 and budget > 0:
             pair, trials = _open_pair(frame, basis, budget, seed)
         return replace(
             cert,
@@ -535,8 +530,7 @@ def _certify(frame: RealFrame, budget: int, seed: int) -> Certificate:
     pair, trials = _open_pair(frame, basis, budget, seed)
     if pair is None:
         return replace(cert, trials=trials)
-    method = "KernelPencil" if trials is None else "SearchWitness"
-    return replace(cert, verdict="NotCPR", method=method, witness=pair, trials=trials)
+    return replace(cert, verdict="NotCPR", method="SearchWitness", witness=pair, trials=trials)
 
 
 # ---------------------------------------------------------------------------

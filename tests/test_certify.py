@@ -37,18 +37,17 @@ from conjpr import (
 from conjpr.certify import (
     PAIR_GAP_TOL,
     SEARCH_DISTANCE,
-    _SEARCH_GAP_TOL,
     _SEARCH_MAX_ITER,
     _kernel_matrices,
+    _kernel_pair,
     _pair_gap,
-    _pencil_pair,
 )
 from conjpr.errors import (
     NoKernelError,
     ValidationError,
     WrongDimensionError,
 )
-from conjpr.witness import _spectral_pair
+from conjpr.witness import ZERO_EIG_TOL, _spectral_pair
 
 # the module; the package attribute conjpr.certify is the function
 certify_module = importlib.import_module("conjpr.certify")
@@ -96,6 +95,18 @@ def verify_witness(frame, pair, gap_tol=1e-9, dist_floor=0.05):
 
 def unit_columns(frame):
     return frame.matrix / np.linalg.norm(frame.matrix, axis=0)
+
+
+def row_scaled(m, n, seed):
+    """random_frame(m, n, seed) with row 0 scaled by 1e3 and row m - 1 by 1e-2.
+
+    D Phi retrieves exactly when Phi does (x -> D x is a real bijection), but
+    the SVD that finds its lift kernel is far worse conditioned.
+    """
+    mat = random_frame(m, n, seed=seed).matrix.copy()
+    mat[0] *= 1e3
+    mat[m - 1] *= 1e-2
+    return RealFrame(mat)
 
 
 def worst_column_gap(frame, pair):
@@ -281,11 +292,34 @@ class TestCertify:
             cert = certify(f)
             assert (cert.method, cert.violating_subset) == (method, subset)
             assert calls == ["eigh"]
+        # M = 4, 5 with a kernel of dimension >= 2: the pencil reuses H_1's
+        # eigh, a realizable H_1 is split, and an unrealizable one adds one
+        # stacked eigh of the pencil's singular matrices
+        for f, stack in ((random_frame(4, 8, seed=0), False), (random_frame(4, 8, seed=4), True),
+                         (random_frame(5, 11, seed=0), True)):
+            calls.clear()
+            cert = certify(f)
+            assert cert.method == "KernelPencil" and cert.kernel_dim >= 2
+            assert calls == ["eigh", "eigh"] if stack else calls == ["eigh"]
         # M >= 6 with a kernel of dimension >= 2 at budget 0: no eigenvalue
         # is computed (at M = 4, 5 the kernel pencil answers)
         calls.clear()
         assert certify(random_frame(6, 17, seed=0)).method == "MonteCarlo"
         assert calls == []
+
+    def test_exact_steps_build_no_orthonormal_kernel(self, monkeypatch):
+        # the QR of _kernel_matrices serves the search alone: at budget 0 no
+        # frame at M = 4, 5 runs it, row-scaled (open) frames included
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        methods = set()
+        for m, n in ((4, 5), (4, 7), (4, 8), (4, 9), (4, 10), (5, 8), (5, 11), (5, 13), (5, 14)):
+            for seed in range(4):
+                methods.add(certify(random_frame(m, n, seed=seed)).method)
+                methods.add(certify(row_scaled(m, n, seed)).method)
+        assert {"KernelPencil", "KernelWitness", "MonteCarlo", "TooFewVectors"} <= methods
 
     @pytest.mark.parametrize("e", [1e-5, 1e-6, 1e-7, 1e-8])
     def test_m2_split_needs_rank_confirmation(self, e):
@@ -690,7 +724,8 @@ class TestKernelPencil:
                 h1 /= np.linalg.norm(h1)
                 h2 -= np.sum(h1 * h2) * h1
                 h2 /= np.linalg.norm(h2)
-                pair = _pencil_pair(np.stack([h1, h2]))
+                w, U = np.linalg.eigh(h1)
+                pair = _kernel_pair(w, U, h1, h2)
                 assert pair is not None and pair.residual <= 1e-12
                 t = pair.target
                 coef = [np.sum(t * h1), np.sum(t * h2)]
@@ -710,9 +745,12 @@ class TestKernelPencil:
             assert cert.kernel_dim >= 2
             assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
             assert cert.trials == {"restarts": 0, "seed": 0}
-            pair = _pencil_pair(_kernel_matrices(kernel_basis(omega_matrix(f)), 4))
+            h1, h2 = (devectorize(v) for v in kernel_basis(omega_matrix(f))[:2])
+            w, U = np.linalg.eigh(h1)
+            kept = np.where(np.abs(w) > ZERO_EIG_TOL * np.linalg.norm(h1), w, 0.0)
+            pair = _kernel_pair(kept, U, h1, h2)
             assert pair is None or _pair_gap(unit_columns(f), pair) > PAIR_GAP_TOL
-            with pytest.raises(WrongDimensionError):
+            with pytest.raises(WrongDimensionError, match="measurement gate"):
                 falsify_exact(f)
 
 
@@ -722,12 +760,39 @@ class TestMeasurementGate:
         # N = 4M - 6 frames retrieve, and so do their row scalings; the
         # search's hits there are round-off whose measurements differ by
         # 2.5e-3 to 1.1e-1 of their size, which the gate drops
-        mat = random_frame(6, 18, seed=seed).matrix.copy()
-        mat[0] *= 1e3
-        mat[5] *= 1e-2
-        cert = certify(RealFrame(mat), budget=64, seed=seed % 7)
+        cert = certify(row_scaled(6, 18, seed), budget=64, seed=seed % 7)
         assert (cert.verdict, cert.method, cert.witness) == ("Undecided", "MonteCarlo", None)
         assert cert.trials["restarts"] == 64
+
+    @pytest.mark.parametrize("m, n", [(4, 10), (5, 14)])
+    def test_row_scaled_retrievable_sizes_are_never_notcpr(self, m, n):
+        # the unscaled twins are CertifiedCPR and row scaling keeps the
+        # verdict; the SVD finds a kernel matrix marred by round-off (at 4x10
+        # a kernel of round-off alone), and its split misses by 2e-5 to 0.9
+        # over the unit columns
+        for seed in range(12):
+            f = row_scaled(m, n, seed)
+            for budget in (0, 64):
+                cert = certify(f, budget=budget, seed=seed)
+                assert cert.verdict != "NotCPR", (seed, budget, cert.method)
+
+    @pytest.mark.parametrize("m, n", [(4, 9), (4, 10), (5, 14)])
+    def test_every_attached_pair_passes_the_gate(self, m, n):
+        for seed in range(12):
+            f = row_scaled(m, n, seed)
+            for budget in (0, 64):
+                cert = certify(f, budget=budget, seed=seed)
+                if cert.verdict == "NotCPR":
+                    assert _pair_gap(unit_columns(f), cert.witness) <= PAIR_GAP_TOL
+
+    @pytest.mark.parametrize("seed", [0, 2, 5, 10, 11])
+    def test_row_scaled_4x9_with_dropped_pairs_is_not_certified(self, seed):
+        # these frames are NotCPR unscaled; row scaled, the gate drops their
+        # kernel pair, which leaves the question open and never certifies
+        f = row_scaled(4, 9, seed)
+        assert certify(random_frame(4, 9, seed=seed)).method == "KernelWitness"
+        for budget in (0, 64):
+            assert certify(f, budget=budget, seed=seed).verdict != "CertifiedCPR"
 
     def test_gap_is_relative_and_unit_column(self):
         f = random_frame(4, 8, seed=0)
@@ -841,7 +906,6 @@ class TestSearchProbe:
         cs, fs, fmeas, ds, iters = _kernels.pair_search(
             unit_columns(f), starts, SEARCH_DISTANCE, H, _SEARCH_MAX_ITER
         )
-        hits = np.flatnonzero((fs <= _kernels._HIT_F) & (fmeas <= _SEARCH_GAP_TOL))
         best = int(np.argmin(fs))
         trials = {
             "restarts": budget,
@@ -849,17 +913,18 @@ class TestSearchProbe:
             "best_gap": float(np.sqrt(fmeas[best])),
             "best_distance": float(ds[best]),
         }
-        if hits.size == 0:
-            return None, trials, iters
-        w, U = np.linalg.eigh(np.tensordot(cs[hits[0]], H, 1))
-        kept = np.where(_kernels.residual_mask(w), 0.0, w)
-        kept *= 2.0 / np.sum(np.abs(kept))
-        target = (U * kept) @ U.T
-        pair = _spectral_pair(kept, U, (target + target.T) / 2.0)
-        # the measurement gate: a pair whose unit-column gap exceeds it is dropped
-        if _pair_gap(unit_columns(f), pair) > PAIR_GAP_TOL:
-            return None, trials, iters
-        return pair, trials, iters
+        for r in np.flatnonzero(fs <= _kernels._HIT_F):
+            w, U = np.linalg.eigh(np.tensordot(cs[r], H, 1))
+            kept = np.where(_kernels.residual_mask(w), 0.0, w)
+            if not (kept.min() < -ZERO_EIG_TOL and kept.max() > ZERO_EIG_TOL):
+                continue
+            kept *= 2.0 / np.sum(np.abs(kept))
+            target = (U * kept) @ U.T
+            pair = _spectral_pair(kept, U, (target + target.T) / 2.0)
+            # the measurement gate: the first hit whose unit-column gap passes it
+            if _pair_gap(unit_columns(f), pair) <= PAIR_GAP_TOL:
+                return pair, trials, iters
+        return None, trials, iters
 
     def assert_same_answer(self, f, seed):
         pair, trials, iters = self.stack(f, seed, self.BUDGET)
