@@ -7,10 +7,13 @@ each sign, and every symmetric matrix with both signs and at most two of
 each is realized by a pair (see ``witness``).  So a frame is retrievable
 exactly when ker Omega holds no nonzero matrix of inertia at most (2, 2).
 
-One ladder, built on Omega and its SVD computed once per call, serves
-``certify``, ``falsify_exact`` and ``falsify_search`` (which returns
-``certify``'s pair).  Where the kernel decides, every exact step starts
-from one eigendecomposition of its first matrix H_1, as the SVD gives it:
+One ladder, built on Omega and one SVD of it, serves ``certify``,
+``falsify_exact`` and ``falsify_search`` (which returns ``certify``'s
+pair).  Every SVD that reads a kernel or a least-squares lift, here and in
+``reconstruct_linear``, is one ``_svd`` call: its Vh is square, its U thin
+unless the matrix is wide, and the next call on the same entries reuses
+it.  Where the kernel decides, every exact step starts from one
+eigendecomposition of its first matrix H_1, as the SVD gives it:
 
 * kernel dimension 0: retrievable at every M (Det2/Det3 name the square
   M = 2, 3 cases, KernelInjective the rest);
@@ -46,9 +49,9 @@ columns phi_k / |phi_k| agree to PAIR_GAP_TOL of their size (the measurement
 gate); a badly scaled kernel can hold round-off matrices whose pairs miss by
 far more.  The search attaches the first hit, in restart order, that passes.
 At M <= 3 exact pairs are not gated: there every kernel matrix is
-realizable, and the gate would drop right pairs of badly scaled frames.  Too few vectors
-(N <= 2M-2) never retrieve; a complement-property violating split is
-attached, and at M >= 4 a pair only when a budget above 0 is given.
+realizable, and the gate would drop right pairs of badly scaled frames.
+Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
+split is attached, and at M >= 4 a pair only when a budget above 0 is given.
 Undecided is an honest verdict: search failure is never converted into a
 certificate.
 """
@@ -213,13 +216,46 @@ def _m2_violating_subset(mat: np.ndarray, U: np.ndarray) -> tuple | None:
     return tuple(int(k) for k in np.flatnonzero(subset))
 
 
+#: The last ``_svd`` call as (key, result); None until the first call.
+_svd_slot = None
+
+
+def _svd(mat: np.ndarray):
+    """(U, s, Vh) of ``mat``, read-only, with Vh square; reused while the entries repeat.
+
+    U is full only when ``mat`` is wide (rows < cols), where Vh needs the
+    rows beyond s; a tall matrix gets the thin U, never an N x N one.  There
+    the thin SVD gives the full one's s bits, and its Vh bits except at 34
+    to 42 columns and about four times as many rows, where OpenBLAS moves Vh
+    by a few ulps.  One module-level slot keeps the last result, keyed on
+    shape, dtype and bytes, so consecutive calls on one lifted operator (a
+    frame measuring many signals) factor it once.
+    """
+    global _svd_slot
+    key = (mat.shape, mat.dtype, mat.tobytes())
+    slot = _svd_slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    result = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    for arr in result:
+        arr.setflags(False)  # write=False, positional: half the call's cost
+    _svd_slot = (key, result)
+    return result
+
+
 def _nullspace(mat: np.ndarray, tol: float, floor: float = 0.0) -> list[np.ndarray]:
-    # Rows of Vh whose singular value is <= tol * max(sigma_max, floor);
-    # the floor lets an all-round-off matrix count as entirely null.
-    _, s, vh = np.linalg.svd(mat)
-    cols = mat.shape[1]
-    scale = max(s[0] if s.size else 0.0, floor)
-    return [vh[i] for i in range(cols) if i >= s.size or s[i] <= tol * scale]
+    # Rows of Vh whose singular value is <= tol * max(sigma_max, floor), and
+    # the rows beyond s of a wide matrix: s descends, so they are the tail
+    # after the last larger value.  The floor lets an all-round-off matrix
+    # count as entirely null.  The rows are copies the caller owns: ``_svd``
+    # shares its arrays.
+    _, s, vh = _svd(mat)
+    sv = s.tolist()
+    cut = tol * max(sv[0] if sv else 0.0, floor)
+    rank = len(sv)
+    while rank and sv[rank - 1] <= cut:
+        rank -= 1
+    return [row.copy() for row in vh[rank:]]
 
 
 def kernel_basis(omega, tol: float = KERNEL_TOL) -> list[np.ndarray]:

@@ -55,7 +55,10 @@ class NoKernelError(CprError):
 
 
 class IndefinitenessViolationError(CprError):
-    """The pair synthesized for a kernel matrix misses it beyond the residual bound."""
+    """No longer raised: a kernel pair that misses its matrix leaves the question open.
+
+    Kept so that callers' ``except`` clauses naming it still resolve.
+    """
 
     code = "IndefinitenessViolation"
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import canonical_rep
-from .certify import KERNEL_TOL
+from .certify import KERNEL_TOL, _svd
 from .errors import NotPSDError, UnderdeterminedError, ValidationError
 from .frames_io import Measurement, _LazyStarts, _check_int, _check_tol
 from .lift import _dim_from_lift, _frame_matrix, devectorize, measure, omega_matrix
@@ -140,7 +140,9 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
     One thin SVD U diag(s) V^T of the operator serves both: its singular
     values give the rank rule s_min <= KERNEL_TOL * s_max, and since every
     s then lies above any rcond cut its factors give the least-squares
-    solution V (U^T b / s).
+    solution V (U^T b / s).  The SVD is ``certify._svd``'s, so consecutive
+    calls on one frame (or after ``certify`` or ``kernel_basis`` on it)
+    factor the operator once; every result keeps the bits of a first call.
     ``tol`` bounds how negative an eigenvalue of the solved lift may be,
     relative to its norm, before the measurements are declared inconsistent
     (NotPSDError); with noisy data pass a tolerance matched to the noise.
@@ -160,7 +162,7 @@ def reconstruct_linear(frame, b, tol: float = PSD_TOL) -> ReconstructionResult:
             f"{n} measurements cannot determine {L} lift coefficients; "
             "use reconstruct_altproj"
         )
-    U, sv, Vt = np.linalg.svd(om, full_matrices=False)
+    U, sv, Vt = _svd(om)
     if sv[0] == 0.0 or sv[-1] <= KERNEL_TOL * sv[0]:
         raise UnderdeterminedError("lifted operator is numerically rank deficient")
     Q = devectorize(Vt.T @ ((U.T @ bvals) / sv))

@@ -1,8 +1,13 @@
 """Shared test helpers: independent oracles and random data generators."""
 
+import importlib
+
 import numpy as np
 
 from conjpr import RealFrame, rng_stream
+
+# the module; the package attribute conjpr.certify is the function
+certify_module = importlib.import_module("conjpr.certify")
 
 
 def random_signal(rng, m, scale=1.0):
@@ -76,3 +81,17 @@ def quadric_cone_frame_4d(n, seed):
     u = rng.standard_normal((3, n))
     u /= np.linalg.norm(u, axis=0)
     return RealFrame(np.vstack([u, np.ones(n)]))
+
+
+def svd_calls(monkeypatch):
+    """Empty the shared SVD slot; the list records (shape, full_matrices, compute_uv) per SVD."""
+    monkeypatch.setattr(certify_module, "_svd_slot", None)
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls

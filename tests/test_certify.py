@@ -9,6 +9,7 @@ from conftest import (
     quadric_cone_frame_4d,
     random_orthogonal,
     random_signal,
+    svd_calls,
     symmetrized,
 )
 
@@ -32,6 +33,7 @@ from conjpr import (
     omega_matrix,
     random_frame,
     rng_stream,
+    strict_report,
     vectorize,
 )
 from conjpr.certify import (
@@ -164,6 +166,63 @@ class TestKernelBasis:
         for v in kernel_basis(om):
             assert np.linalg.norm(om @ v) <= 1e-10 * np.linalg.norm(om)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedSvd:
+    def test_cached_arrays_read_only_and_basis_rows_owned(self, monkeypatch):
+        om = omega_matrix(random_frame(3, 5, seed=3))
+        calls = svd_calls(monkeypatch)
+        first = kernel_basis(om)
+        expected = [v.copy() for v in first]
+        for arr in certify_module._svd(om):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        first[0][:] = 7.0
+        again = kernel_basis(om)
+        assert len(calls) == 1
+        assert all(v.flags.writeable for v in again)
+        assert all(np.array_equal(v, w) for v, w in zip(again, expected))
+
+    def test_tall_thin_svd_gives_full_bits(self):
+        # the premise of byte-identical outputs: for rows >= cols the thin
+        # SVD's s is the full one's, and so is its Vh up to 28 columns (Omega
+        # at M <= 7, im_gram at M <= 8), on either side of LAPACK's QR-first
+        # threshold (rows >= 11/6 cols).  At 34 to 42 columns (Omega at M = 8)
+        # and about four times as many rows or more, OpenBLAS 0.3.31's full
+        # SVD gives a Vh a few ulps away
+        mats = []
+        for m in range(2, 9):
+            L = lift_dim(m)
+            for n in (L, L + 1, (11 * L) // 6, 2 * L, 5 * L):
+                mats += [omega_matrix(random_frame(m, n, seed)) for seed in range(2)]
+        rng = rng_stream(650, 0)
+        for m in range(3, 9):
+            pairs = m * (m - 1) // 2
+            for n in (pairs, pairs + 1, 2 * pairs, 6 * pairs):
+                n = max(n, m)
+                mat = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+                mats.append(im_gram(ComplexFrame(mat)))
+        for mat in mats:
+            assert mat.shape[0] >= mat.shape[1]
+            _, s, vh = certify_module._svd(mat)
+            _, s_full, vh_full = np.linalg.svd(mat)
+            assert s.tobytes() == s_full.tobytes(), mat.shape
+            assert np.abs(vh - vh_full).max() <= 1e-14, mat.shape
+            if mat.shape[1] <= 28:
+                assert vh.tobytes() == vh_full.tobytes(), mat.shape
+
+    def test_tall_inputs_never_ask_for_a_full_u(self, monkeypatch):
+        # with the full SVD these two calls built N x N U's: 0.1 to 0.4 s
+        # and 0.1 GB peak, and 0.2 to 0.4 s and 0.18 GB
+        rng = rng_stream(651, 0)
+        frame = ComplexFrame(rng.standard_normal((4, 3000)) + 1j * rng.standard_normal((4, 3000)))
+        calls = svd_calls(monkeypatch)
+        assert certify(random_frame(4, 2000, seed=0)).verdict == "CertifiedCPR"
+        assert strict_report(frame).verdict == "ComplexPRCandidate"
+        tall = [c for c in calls if c[0][0] > c[0][1] and c[2]]
+        assert [c[0] for c in tall] == [(2000, 10), (3000, 6)]
+        assert not any(full for _, full, _ in tall)
 
 
 class TestCertify:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_signal, symmetrized
+from conftest import certify_module, random_signal, svd_calls, symmetrized
 
 from conjpr import (
     Measurement,
@@ -174,6 +174,51 @@ class TestReconstructLinear:
                     assert result.lift_residual == pytest.approx(
                         residual(f, result.estimate, b), abs=1e-12
                     )
+
+    @staticmethod
+    def cold(frame, b):
+        """reconstruct_linear's result with the shared SVD slot empty."""
+        certify_module._svd_slot = None
+        return reconstruct_linear(frame, b)
+
+    @staticmethod
+    def same_bits(r1, r2):
+        return (
+            r1.estimate.tobytes() == r2.estimate.tobytes()
+            and (r1.lift_residual, r1.rank_excess, r1.iterations, r1.converged)
+            == (r2.lift_residual, r2.rank_excess, r2.iterations, r2.converged)
+        )
+
+    def test_consecutive_calls_on_one_frame_factor_once(self, monkeypatch):
+        rng = rng_stream(642, 0)
+        f = random_frame(5, 17, seed=42)
+        bs = [measure(f, random_signal(rng, 5)) for _ in range(6)]
+        calls = svd_calls(monkeypatch)
+        warm = [reconstruct_linear(f, b) for b in bs]
+        assert [shape for shape, _, _ in calls] == [(17, 15)]
+        for b, result in zip(bs, warm):
+            assert self.same_bits(result, self.cold(f, b))
+
+    def test_other_frame_or_changed_entries_miss(self, monkeypatch):
+        rng = rng_stream(643, 0)
+        other = random_frame(4, 12, seed=43)
+        mat = random_frame(4, 12, seed=44).matrix.copy()
+        f = RealFrame(mat)
+        assert np.shares_memory(f.matrix, mat)
+        moved = mat.copy()
+        moved[0, 0] += 0.5
+        x = random_signal(rng, 4)
+        b_other, b, b_moved = (measure(g, x) for g in (other, f, RealFrame(moved)))
+        calls = svd_calls(monkeypatch)
+        reconstruct_linear(f, b)
+        reconstruct_linear(other, b_other)
+        assert len(calls) == 2
+        # the frame's own array, changed in place between calls
+        reconstruct_linear(f, b)
+        mat[0, 0] += 0.5
+        changed = reconstruct_linear(f, b_moved)
+        assert len(calls) == 4
+        assert self.same_bits(changed, self.cold(RealFrame(moved), b_moved))
 
     def test_inconsistent_measurements_not_psd(self):
         bad = Measurement(np.array([1.0, 1.0, -5.0]), noise_sigma=1.0)
