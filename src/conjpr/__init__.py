@@ -6,6 +6,7 @@ from magnitude-squared measurements through the real phase-lift, and
 synthesizes explicit counterexample pairs when retrieval fails.
 """
 
+from ._kernels import rank2_psd_project
 from .algebra import (
     DEFAULT_TOL,
     canonical_rep,
@@ -32,7 +33,6 @@ from .errors import (
     DefiniteInputError,
     DimensionMismatchError,
     FileFormatError,
-    IndefinitenessViolationError,
     NoKernelError,
     NotPSDError,
     UnderdeterminedError,
@@ -43,25 +43,21 @@ from .frames_io import (
     ComplexFrame,
     Measurement,
     RealFrame,
-    frame_bounds,
     generic_cpr_size,
     random_frame,
     rng_stream,
 )
 from .lift import (
-    apply_lift,
     devectorize,
     lift_dim,
     measure,
     numeric_rank,
-    omega,
     omega_matrix,
     vectorize,
 )
 from .reconstruct import (
     ReconstructionResult,
     factor_rank2,
-    rank2_psd_project,
     reconstruct_altproj,
     reconstruct_linear,
     residual,
@@ -82,7 +78,6 @@ __all__ = [
     "DefiniteInputError",
     "DimensionMismatchError",
     "FileFormatError",
-    "IndefinitenessViolationError",
     "Measurement",
     "NoKernelError",
     "NotPSDError",
@@ -93,7 +88,6 @@ __all__ = [
     "ValidationError",
     "WitnessPair",
     "WrongDimensionError",
-    "apply_lift",
     "canonical_rep",
     "certify",
     "complement_property",
@@ -104,7 +98,6 @@ __all__ = [
     "factor_rank2",
     "falsify_exact",
     "falsify_search",
-    "frame_bounds",
     "generic_cpr_size",
     "im_gram",
     "im_products",
@@ -113,7 +106,6 @@ __all__ = [
     "lift_dim",
     "measure",
     "numeric_rank",
-    "omega",
     "omega_matrix",
     "phase_equivalent",
     "random_frame",

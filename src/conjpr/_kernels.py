@@ -306,10 +306,11 @@ def skew_altproj(basis, starts, max_iter, wins):
 
     A restart stops when S is realized (|S - S2| <= 1e-11 |S|), when its
     projection collapses (norm <= 1e-12), or after ``max_iter``
-    factorizations.  A realized restart wins when ``wins(a, b)`` holds; then
-    every live restart above it stops, and the ones below it run on, so the
-    lowest winning index is the one that running the restarts one by one in
-    order finds first.
+    factorizations.  A realized restart wins when ``wins(a, b)`` holds (for
+    ``strict_report``: y = a + ib is not phased real and passes the
+    measurement gate with conj(y)); then every live restart above it stops,
+    and the ones below it run on, so the lowest winning index is the one
+    that running the restarts one by one in order finds first.
 
     Returns per-restart arrays (a, b, iterations, won) holding each restart's
     last factors.

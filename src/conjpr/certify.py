@@ -48,6 +48,7 @@ At M >= 4 a pair is attached only when its measurements over the unit
 columns phi_k / |phi_k| agree to PAIR_GAP_TOL of their size (the measurement
 gate); a badly scaled kernel can hold round-off matrices whose pairs miss by
 far more.  The search attaches the first hit, in restart order, that passes.
+``strict_report`` holds its witness y and conj(y) to the same gate.
 At M <= 3 exact pairs are not gated: there every kernel matrix is
 realizable, and the gate would drop right pairs of badly scaled frames.
 Too few vectors (N <= 2M-2) never retrieve; a complement-property violating
@@ -69,14 +70,14 @@ from .errors import (
     WrongDimensionError,
 )
 from .frames_io import ComplexFrame, RealFrame, _check_int, _check_tol, _restart_starts
-from .lift import _frame_matrix, _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix
+from .lift import (
+    _finite_matrix, _frame_matrix, _half_indices, devectorize, lift_dim, numeric_rank, omega_matrix,
+)
 # witness_general is no longer called here (the ladder splits its own
 # eigendecomposition) but stays a conjpr.certify attribute, which
 # perfbench/tracing.py wraps.
 from .witness import ZERO_EIG_TOL, WitnessPair, _spectral_pair, witness_general  # noqa: F401
 from . import _kernels
-
-_EPS = float(np.finfo(np.float64).eps)
 
 CERT_VERDICTS = ("CertifiedCPR", "NotCPR", "Undecided")
 CERT_METHODS = (
@@ -84,7 +85,6 @@ CERT_METHODS = (
     "Det3",
     "KernelInjective",
     "KernelInertia",
-    "ComplementPropertyM2",  # no longer produced; older certificate files load
     "TooFewVectors",
     "KernelWitness",
     "SearchWitness",
@@ -111,15 +111,14 @@ _WITNESS_TOL = 1e-9
 SEARCH_DISTANCE = 0.1
 _SEARCH_MAX_ITER = 100
 
-#: A pair is attached at M >= 4 only when ``_pair_gap`` over the unit
-#: columns is at most this.  Right pairs stay below 1e-10 and pairs read from
-#: round-off or badly row-scaled kernels above 1e-5.
+#: A pair is attached at M >= 4, and a ``strict_report`` witness y with its
+#: conjugate, only when ``_pair_gap`` over the unit columns is at most this.
+#: Right pairs stay below 1e-10 and pairs read from round-off or badly
+#: row-scaled kernels above 1e-5.
 PAIR_GAP_TOL = 1e-8
 
 _STRICT_SEED = 0x5C1C7  # fixed: strict_report is deterministic
-#: strict_report's bound on a witness's relative conjugation gap, and its
-#: restarts when the imaginary-Gram nullspace is not a line.
-_STRICT_TOL = 1e-9
+#: strict_report's restarts when the imaginary-Gram nullspace is not a line.
 _STRICT_BUDGET = 16
 
 
@@ -152,19 +151,15 @@ class StrictReport:
 
 
 def _require_real_frame(frame, who: str) -> RealFrame:
-    if isinstance(frame, ComplexFrame):
+    """``frame`` as a RealFrame; any complex input, whatever its entries, is refused."""
+    if isinstance(frame, RealFrame):
+        return frame
+    mat = _frame_matrix(frame)
+    if np.iscomplexobj(mat):
         raise ValidationError(
             f"{who} requires a real frame; use strict_report for complex frames"
         )
-    if not isinstance(frame, RealFrame):
-        frame = RealFrame(np.asarray(frame, dtype=np.float64))
-    return frame
-
-
-def _spans(mat: np.ndarray, cols, m: int) -> bool:
-    if len(cols) < m:
-        return False
-    return numeric_rank(mat[:, cols]) == m
+    return RealFrame(mat)
 
 
 def complement_property(frame, cap: int = 24):
@@ -185,10 +180,10 @@ def complement_property(frame, cap: int = 24):
     rest = list(range(1, n))
     for bits in range(1 << (n - 1)):
         subset = [0] + [rest[j] for j in range(n - 1) if bits >> j & 1]
-        if _spans(mat, subset, m):
+        if len(subset) >= m and numeric_rank(mat[:, subset]) == m:
             continue
         complement = [k for k in range(n) if k not in subset]
-        if not _spans(mat, complement, m):
+        if len(complement) < m or numeric_rank(mat[:, complement]) != m:
             return False, tuple(subset)
     return True, None
 
@@ -261,10 +256,7 @@ def _nullspace(mat: np.ndarray, tol: float, floor: float = 0.0) -> list[np.ndarr
 def kernel_basis(omega, tol: float = KERNEL_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical nullspace of the lifted operator."""
     tol = _check_tol(tol, positive=False)
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2:
-        raise ValidationError("omega must be a matrix")
-    return _nullspace(omega, tol)
+    return _nullspace(_finite_matrix(np.asarray(omega, dtype=np.float64)), tol)
 
 
 def _det_certifies(om: np.ndarray, det: float) -> bool:
@@ -417,52 +409,48 @@ def _unit_columns(mat: np.ndarray) -> np.ndarray:
     return mat / np.where(norms > 0.0, norms, 1.0)
 
 
-def _pair_gap(unit: np.ndarray, pair: WitnessPair) -> float:
-    """Relative measurement gap of a pair over the columns of ``unit``.
+def _pair_gap(unit: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Relative measurement gap of signals x and y over the columns of ``unit``.
 
-    |b_x - b_y| / max(|b_x|, |b_y|) with b_z = (|<u_k, z>|^2)_k.  On unit
-    columns every vector counts alike, whatever the frame's column norms.
+    |b_x - b_y| / max(|b_x|, |b_y|) with b_z = (|<z, u_k>|^2)_k, complex
+    columns conjugated as ``measure`` does.  On unit columns every vector
+    counts alike, whatever the frame's column norms.
     """
-    bx = np.abs(unit.T @ pair.x) ** 2
-    by = np.abs(unit.T @ pair.y) ** 2
+    adj = (unit.conj() if np.iscomplexobj(unit) else unit).T
+    bx = np.abs(adj @ x) ** 2
+    by = np.abs(adj @ y) ** 2
     scale = max(np.linalg.norm(bx), np.linalg.norm(by), np.finfo(np.float64).tiny)
     return float(np.linalg.norm(bx - by) / scale)
 
 
 def _gated(pair: WitnessPair | None, unit: np.ndarray) -> WitnessPair | None:
     """``pair`` when its unit-column measurement gap is at most PAIR_GAP_TOL, else None."""
-    return pair if pair is not None and _pair_gap(unit, pair) <= PAIR_GAP_TOL else None
+    return pair if pair is not None and _pair_gap(unit, pair.x, pair.y) <= PAIR_GAP_TOL else None
 
 
 def _open_pair(frame: RealFrame, basis: list, budget: int, seed: int):
     """(pair or None, trials) from the kernel-sphere search, for a question the exact steps leave open.
 
-    At budget 0 no search runs and the trials record no restart.
-    """
-    if budget == 0:
-        return None, {"restarts": 0, "seed": seed}
-    H = _kernel_matrices(basis, frame.m)
-    return _search_with_stats(_unit_columns(frame.matrix), H, budget, seed)
-
-
-def _search_with_stats(unit: np.ndarray, H: np.ndarray, budget: int, seed: int):
-    """Kernel-sphere search: the lowest-index hit's gated pair, or None, and the trial statistics.
-
-    ``unit`` holds the frame's unit columns phi_k / |phi_k| (zero columns
-    stay zero) and ``H`` its Frobenius-orthonormal kernel matrices.  Below
-    4M-6 vectors (N <= 4M-7), where a generic frame has a pair, restart 0
-    first runs alone for one stall window (``_kernels._STALL_EVERY``
-    iterations).  A hit that stopped inside the window is finished and has
-    the lowest index, so when its pair passes the gate it is the stack's
-    answer; otherwise all ``budget`` restarts run as one stack, as they
-    always do at N >= 4M-6.  The statistics come from the restarts that ran:
-    on a probe hit, ``best_gap`` and ``best_distance`` are restart 0's, and
-    ``restarts`` reports the budget either way.  Gaps are taken over the
-    unit columns, and so is ``best_gap``.
+    At budget 0 no search runs and the trials record no restart.  Otherwise
+    the search runs on the Frobenius-orthonormal kernel matrices of
+    ``basis`` and gates each hit's pair over the unit columns phi_k / |phi_k|
+    (zero columns stay zero); the lowest-index hit whose pair passes is the
+    answer.  Below 4M-6 vectors (N <= 4M-7), where a generic frame has a
+    pair, restart 0 first runs alone for one stall window
+    (``_kernels._STALL_EVERY`` iterations).  A hit that stopped inside the
+    window is finished and has the lowest index, so when its pair passes the
+    gate it is the stack's answer; otherwise all ``budget`` restarts run as
+    one stack, as they always do at N >= 4M-6.  The statistics come from the
+    restarts that ran: on a probe hit, ``best_gap`` and ``best_distance`` are
+    restart 0's, and ``restarts`` reports the budget either way.  Gaps are
+    taken over the unit columns, and so is ``best_gap``.
     """
     stats = {"restarts": budget, "seed": seed}
-    m, n = unit.shape
-    if n <= 4 * m - 7:
+    if budget == 0:
+        return None, stats
+    H = _kernel_matrices(basis, frame.m)
+    unit = _unit_columns(frame.matrix)
+    if frame.n <= 4 * frame.m - 7:
         probe = _kernels.pair_search(
             unit, _restart_starts(seed, 1, len(H)), SEARCH_DISTANCE, H,
             _kernels._STALL_EVERY,
@@ -589,14 +577,6 @@ def im_gram(frame) -> np.ndarray:
     return np.imag(mat[rows[m:]].conj() * mat[cols[m:]]).T
 
 
-def _conjugation_gap_ok(frame_mat: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    inner = frame_mat.conj().T @ y
-    inner_conj = frame_mat.conj().T @ y.conj()
-    gaps = np.abs(np.abs(inner) ** 2 - np.abs(inner_conj) ** 2)
-    scale = float(np.linalg.norm(y) ** 2) * np.linalg.norm(frame_mat, axis=0) ** 2
-    return bool(np.all(gaps <= tol * np.maximum(scale, _EPS)))
-
-
 def strict_report(frame) -> StrictReport:
     """Classify whether retrievability by this frame could be conjugation-blind.
 
@@ -608,9 +588,12 @@ def strict_report(frame) -> StrictReport:
     point is sought by alternating projection between the nullspace and the
     rank-2 skew cone (one projection when the nullspace is a line; otherwise
     16 restarts of up to 300 iterations, run in lockstep as one stack by
-    ``_kernels.skew_altproj``), with failure reported as Undecided.  The
-    witness is the lowest-index winning restart's, the one that running the
-    restarts one by one in order returns.  For M <= 3 every nonzero
+    ``_kernels.skew_altproj``), with failure reported as Undecided.  A
+    realized y wins when it is not phased real and passes the measurement
+    gate: ``_pair_gap`` of (y, conj(y)) over the unit columns is at most
+    PAIR_GAP_TOL, the bound every pair ``certify`` attaches at M >= 4 meets.
+    The witness is the lowest-index winning restart's, the one that running
+    the restarts one by one in order returns.  For M <= 3 every nonzero
     nullspace vector is realizable, so each restart realizes at its first
     projection.  Anything but a frame is checked as one: a ComplexFrame, or a
     RealFrame when it is real.
@@ -640,8 +623,6 @@ def strict_report(frame) -> StrictReport:
     if nullity == 0:
         return StrictReport("ComplexPRCandidate", None, 0)
 
-    cmat = np.asarray(mat, dtype=np.complex128)
-
     # search null(G) for a rank-2 realizable point by alternating projection
     # between the nullspace and the rank-2 skew cone.  A null line is its own
     # projection: every restart starts on it up to sign and never leaves it,
@@ -649,10 +630,11 @@ def strict_report(frame) -> StrictReport:
     # size <= 3 has rank 2, so at M <= 3 every first projection realizes.
     basis = np.vstack(null_vecs)  # (k, pair_dim), orthonormal rows
     restarts, max_iter = (1, 1) if nullity == 1 else (_STRICT_BUDGET, 300)
+    unit = _unit_columns(mat)
 
     def wins(a, b):
         y = a + 1j * b
-        return not is_phased_real(y) and _conjugation_gap_ok(cmat, y, _STRICT_TOL)
+        return not is_phased_real(y) and _pair_gap(unit, y, y.conj()) <= PAIR_GAP_TOL
 
     starts = _restart_starts(_STRICT_SEED, restarts, nullity)
     a, b, _, won = _kernels.skew_altproj(basis, starts, max_iter, wins)

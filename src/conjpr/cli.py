@@ -25,7 +25,6 @@ from .certify import certify, falsify_exact, falsify_search, kernel_basis, stric
 from .errors import (
     CprError,
     DefiniteInputError,
-    IndefinitenessViolationError,
     NoKernelError,
     NotPSDError,
     UnderdeterminedError,
@@ -40,7 +39,6 @@ _NUMERICAL_ERRORS = (
     NotPSDError,
     UnderdeterminedError,
     NoKernelError,
-    IndefinitenessViolationError,
     DefiniteInputError,
 )
 

@@ -54,15 +54,6 @@ class NoKernelError(CprError):
     code = "NoKernel"
 
 
-class IndefinitenessViolationError(CprError):
-    """No longer raised: a kernel pair that misses its matrix leaves the question open.
-
-    Kept so that callers' ``except`` clauses naming it still resolve.
-    """
-
-    code = "IndefinitenessViolation"
-
-
 class DefiniteInputError(CprError):
     """Witness target has no realization by a pair.
 

@@ -119,9 +119,6 @@ class _Frame:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k]
-
 
 @dataclass(frozen=True)
 class RealFrame(_Frame):
@@ -185,21 +182,15 @@ def random_frame(m: int, n: int, seed: int = 0) -> RealFrame:
 def generic_cpr_size(m: int) -> int:
     """Vector count at which a generic real frame retrieves conjugate classes.
 
-    3 in dimension 2, 6 in dimension 3, and 4m - 6 for m >= 4.
+    3 in dimension 2, 6 in dimension 3, and 4m - 6 for m >= 4; m is an
+    integer >= 2.
     """
-    if m < 2:
-        raise ValidationError("generic size is defined for m >= 2")
+    m = _check_int(m, "m", 2)
     if m == 2:
         return 3
     if m == 3:
         return 6
     return 4 * m - 6
-
-
-def frame_bounds(frame) -> tuple[float, float]:
-    """Tight frame bounds (A, B): the extreme squared singular values."""
-    sv = np.linalg.svd(frame.matrix, compute_uv=False)
-    return float(sv[-1] ** 2), float(sv[0] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,14 @@ def _frame_matrix(frame) -> np.ndarray:
     return frame.matrix if hasattr(frame, "matrix") else np.asarray(frame)
 
 
-def omega(phi) -> np.ndarray:
-    """Lifted vector of a real measurement vector."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim != 1:
-        raise ValidationError("phi must be 1-D")
-    return omega_matrix(phi[:, None])[0]
+def _finite_matrix(a) -> np.ndarray:
+    """``a`` as a 2-D array with finite entries, else ValidationError."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValidationError(f"expected a 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
+    return a
 
 
 def vectorize(Q) -> np.ndarray:
@@ -95,25 +97,12 @@ def omega_matrix(frame) -> np.ndarray:
     mat = _frame_matrix(frame)
     if np.iscomplexobj(mat):
         raise ValidationError("the lifted operator is defined for real frames")
-    mat = np.asarray(mat, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("phi has non-finite entries")
+    mat = _finite_matrix(np.asarray(mat, dtype=np.float64))
     m, n = mat.shape
     rows, cols = _half_indices(m)
     coef = np.full(rows.shape[0], 2.0)
     coef[:m] = 1.0
     return np.multiply(coef * mat[rows].T, mat[cols].T, out=np.empty((n, rows.shape[0])))
-
-
-def apply_lift(frame, Q) -> np.ndarray:
-    """Quadratic-form measurements (phi_k^T Q phi_k) of a symmetric Q."""
-    mat = _frame_matrix(frame)
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.shape[0] != mat.shape[0]:
-        raise DimensionMismatchError(
-            f"lift is {Q.shape[0]}x{Q.shape[0]} but frame has m={mat.shape[0]}"
-        )
-    return np.einsum("jk,jl,lk->k", mat, Q, mat)
 
 
 def measure(frame, x, noise_sigma: float | None = None, rng=None) -> Measurement:
@@ -154,7 +143,7 @@ def numeric_rank(Q, tol: float | None = None) -> int:
     over-counted at double precision.
     """
     tol = None if tol is None else _check_tol(tol, positive=False)
-    Q = np.atleast_2d(np.asarray(Q))
+    Q = _finite_matrix(Q)
     sv = np.linalg.svd(Q, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

@@ -25,7 +25,6 @@ from .errors import NotPSDError, UnderdeterminedError, ValidationError
 from .frames_io import Measurement, _LazyStarts, _check_int, _check_tol
 from .lift import _dim_from_lift, _frame_matrix, devectorize, measure, omega_matrix
 from . import _kernels
-from ._kernels import rank2_psd_project  # noqa: F401 - public here, shared with altproj
 
 _EPS = float(np.finfo(np.float64).eps)
 

@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from conjpr import (
     is_phased_real,
     kernel_basis,
     lift_dim,
+    measure,
     numeric_rank,
     omega_matrix,
     random_frame,
@@ -160,6 +160,13 @@ class TestKernelBasis:
         for seed in range(10):
             om = omega_matrix(random_frame(3, 6, seed=seed))
             assert kernel_basis(om) == []
+
+    @pytest.mark.parametrize(
+        "om", [[[np.nan, 1.0, 0.0]], [[np.inf, 1.0, 0.0]], [1.0, 0.0, 0.0]]
+    )
+    def test_rejects_nonfinite_or_non_matrix(self, om):
+        with pytest.raises(ValidationError):
+            kernel_basis(np.asarray(om))
 
     def test_kernel_vectors_annihilate(self):
         om = omega_matrix(random_frame(3, 5, seed=3))
@@ -559,6 +566,16 @@ class TestCertify:
         with pytest.raises(ValidationError, match="strict"):
             certify(cf)
 
+    @pytest.mark.parametrize("entry", [falsify_exact, falsify_search, certify])
+    @pytest.mark.parametrize(
+        "mat", [[[1j, 1, 0], [0, 1, 1]], np.array([[1, 0, 1], [0, 1, 1]], dtype=complex)]
+    )
+    def test_rejects_complex_arrays(self, entry, mat):
+        # a complex array is refused, not cast to its real part; so is one
+        # whose imaginary parts are all zero
+        with pytest.raises(ValidationError, match="strict_report"):
+            entry(np.asarray(mat))
+
 
 class TestDet2Factorization:
     def test_signed_identity_in_lift_order(self):
@@ -734,7 +751,7 @@ class TestKernelPencil:
             assert cert.trials is None and cert.kernel_dim == lift_dim(m) - n
             pair = falsify_exact(f)
             verify_witness(f, pair)
-            assert _pair_gap(unit_columns(f), pair) <= PAIR_GAP_TOL
+            assert _pair_gap(unit_columns(f), pair.x, pair.y) <= PAIR_GAP_TOL
             if too_few:
                 assert (cert.method, cert.witness) == ("TooFewVectors", None)
             else:
@@ -808,7 +825,7 @@ class TestKernelPencil:
             w, U = np.linalg.eigh(h1)
             kept = np.where(np.abs(w) > ZERO_EIG_TOL * np.linalg.norm(h1), w, 0.0)
             pair = _kernel_pair(kept, U, h1, h2)
-            assert pair is None or _pair_gap(unit_columns(f), pair) > PAIR_GAP_TOL
+            assert pair is None or _pair_gap(unit_columns(f), pair.x, pair.y) > PAIR_GAP_TOL
             with pytest.raises(WrongDimensionError, match="measurement gate"):
                 falsify_exact(f)
 
@@ -842,7 +859,8 @@ class TestMeasurementGate:
             for budget in (0, 64):
                 cert = certify(f, budget=budget, seed=seed)
                 if cert.verdict == "NotCPR":
-                    assert _pair_gap(unit_columns(f), cert.witness) <= PAIR_GAP_TOL
+                    pair = cert.witness
+                    assert _pair_gap(unit_columns(f), pair.x, pair.y) <= PAIR_GAP_TOL
 
     @pytest.mark.parametrize("seed", [0, 2, 5, 10, 11])
     def test_row_scaled_4x9_with_dropped_pairs_is_not_certified(self, seed):
@@ -857,14 +875,25 @@ class TestMeasurementGate:
         f = random_frame(4, 8, seed=0)
         pair = certify(f).witness
         unit = unit_columns(f)
-        gap = _pair_gap(unit, pair)
+        gap = _pair_gap(unit, pair.x, pair.y)
         assert gap <= 1e-13
         # the same pair on the frame with rescaled columns: the same gap
         scaled = unit * np.array([1e5, 1.0, 1e-3, 1.0, 1.0, 2.0, 1.0, 1.0])
-        assert _pair_gap(unit_columns(RealFrame(scaled)), pair) == pytest.approx(gap, abs=1e-15)
+        rescaled = unit_columns(RealFrame(scaled))
+        assert _pair_gap(rescaled, pair.x, pair.y) == pytest.approx(gap, abs=1e-15)
         # a perturbed pair is measured against its measurements' size
-        moved = replace(pair, y=pair.y * (1.0 + 1e-6))
-        assert _pair_gap(unit, moved) == pytest.approx(2e-6, rel=1e-3)
+        assert _pair_gap(unit, pair.x, pair.y * (1.0 + 1e-6)) == pytest.approx(2e-6, rel=1e-3)
+
+    def test_gap_conjugates_complex_columns(self):
+        # strict_report gates y against conj(y): on complex columns the gap
+        # reads the measurements that measure takes, <z, phi_k> = phi_k^* z
+        f = gaussian_complex_frame(rng_stream(513, 0), 3, 5)
+        unit = unit_columns(f)
+        y = random_signal(rng_stream(513, 1), 3)
+        by, bc = (measure(ComplexFrame(unit), z).values for z in (y, y.conj()))
+        want = np.linalg.norm(by - bc) / max(np.linalg.norm(by), np.linalg.norm(bc))
+        assert _pair_gap(unit, y, y.conj()) == pytest.approx(want, rel=1e-12)
+        assert want > 1e-3
 
 
 class TestPairSearchKernel:
@@ -981,7 +1010,7 @@ class TestSearchProbe:
             target = (U * kept) @ U.T
             pair = _spectral_pair(kept, U, (target + target.T) / 2.0)
             # the measurement gate: the first hit whose unit-column gap passes it
-            if _pair_gap(unit_columns(f), pair) <= PAIR_GAP_TOL:
+            if _pair_gap(unit_columns(f), pair.x, pair.y) <= PAIR_GAP_TOL:
                 return pair, trials, iters
         return None, trials, iters
 
@@ -1268,11 +1297,11 @@ class TestSkewAltproj:
             certify_module._STRICT_SEED, certify_module._STRICT_BUDGET, len(null_vecs)
         )
 
+        unit = certify_module._unit_columns(mat)
+
         def wins(a, b):
             y = a + 1j * b
-            return not is_phased_real(y) and certify_module._conjugation_gap_ok(
-                mat, y, certify_module._STRICT_TOL
-            )
+            return not is_phased_real(y) and _pair_gap(unit, y, y.conj()) <= PAIR_GAP_TOL
 
         return np.vstack(null_vecs), starts, wins
 

@@ -425,8 +425,12 @@ class TestStrict:
         doc = json.loads(first)
         assert doc["verdict"] == "StrictlyCPR" and doc["im_gram_nullity"] == 4
         y = np.array([re + 1j * im for re, im in doc["witness_y"]])
+        # y and conj(y) pass the measurement gate over the unit columns
         mat = frames_io.load_frame(path).matrix
-        assert certify_module._conjugation_gap_ok(mat, y, certify_module._STRICT_TOL)
+        unit = mat / np.linalg.norm(mat, axis=0)
+        by, bc = (np.abs(unit.conj().T @ z) ** 2 for z in (y, y.conj()))
+        scale = max(np.linalg.norm(by), np.linalg.norm(bc))
+        assert np.linalg.norm(by - bc) <= certify_module.PAIR_GAP_TOL * scale
 
 
 class TestMalformedFiles:

@@ -16,7 +16,6 @@ from conjpr import (
     cone_frame,
     conj_equivalent,
     factor_rank2,
-    frame_bounds,
     generic_cpr_size,
     is_phased_real,
     kernel_basis,
@@ -214,35 +213,10 @@ class TestGenericSize:
         with pytest.raises(ValidationError):
             generic_cpr_size(1)
 
-
-class TestFrameBounds:
-    def test_orthonormal(self):
-        a, b = frame_bounds(RealFrame(np.eye(3)))
-        assert a == pytest.approx(1.0, abs=1e-14)
-        assert b == pytest.approx(1.0, abs=1e-14)
-
-    def test_reference_frame(self):
-        a, b = frame_bounds(RealFrame([[1.0, 0, 1], [0, 1, 1.0]]))
-        assert a == pytest.approx(1.0, abs=1e-12)
-        assert b == pytest.approx(3.0, abs=1e-12)
-
-    def test_scaling(self):
-        f = random_frame(3, 5, seed=3)
-        a, b = frame_bounds(f)
-        a2, b2 = frame_bounds(RealFrame(2.0 * f.matrix))
-        assert a2 == pytest.approx(4 * a, rel=1e-12)
-        assert b2 == pytest.approx(4 * b, rel=1e-12)
-
-    def test_envelope(self):
-        rng = rng_stream(301, 0)
-        f = random_frame(3, 6, seed=11)
-        a, b = frame_bounds(f)
-        assert a > 0
-        for _ in range(50):
-            x = random_signal(rng, 3)
-            x /= np.linalg.norm(x)
-            total = float(np.sum(measure(f, x).values))
-            assert a - 1e-12 <= total <= b + 1e-12
+    @pytest.mark.parametrize("m", [4.5, 4.0, True, "4", None])
+    def test_rejects_non_integer(self, m):
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            generic_cpr_size(m)
 
 
 class TestRoundTrips:

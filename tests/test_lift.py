@@ -5,12 +5,10 @@ from conftest import random_signal
 
 from conjpr import (
     RealFrame,
-    apply_lift,
     devectorize,
     lift_dim,
     measure,
     numeric_rank,
-    omega,
     omega_matrix,
     real_lift,
     rng_stream,
@@ -20,6 +18,16 @@ from conjpr.errors import DimensionMismatchError, ValidationError
 from conjpr.lift import _half_indices
 
 FRAME_2X3 = RealFrame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+def omega(phi):
+    """The lifted vector of one measurement vector: its row of the lifted operator."""
+    return omega_matrix(np.asarray(phi, dtype=np.float64)[:, None])[0]
+
+
+def apply_lift(frame, Q):
+    """The lifted operator applied to a symmetric Q: (phi_k^T Q phi_k)_k."""
+    return omega_matrix(frame) @ vectorize(Q)
 
 
 class TestOmega:
@@ -114,6 +122,10 @@ class TestOmegaMatrix:
         with pytest.raises(ValidationError, match="non-finite"):
             omega_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            omega_matrix(np.array([1.0, 2.0]))
+
     def test_bit_identical_to_columnwise_omega(self):
         rng = rng_stream(205, 0)
         for m in range(1, 9):
@@ -138,6 +150,7 @@ class TestApplyLift:
         np.testing.assert_allclose(got, [1.0, 1.0, 2.0], atol=0)
 
     def test_matches_omega_times_vec(self):
+        # the lifted operator gives every quadratic form phi_k^T Q phi_k
         rng = rng_stream(204, 0)
         for _ in range(100):
             m, n = int(rng.integers(1, 6)), int(rng.integers(2, 9))
@@ -145,13 +158,9 @@ class TestApplyLift:
             mat = rng.standard_normal((m, n))
             q = rng.standard_normal((m, m))
             q = q + q.T
-            a = apply_lift(mat, q)
-            b = omega_matrix(mat) @ vectorize(q)
+            a = np.einsum("jk,jl,lk->k", mat, q, mat)
+            b = apply_lift(mat, q)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_lift(FRAME_2X3, np.eye(3))
 
 
 class TestMeasure:
@@ -226,6 +235,11 @@ class TestNumericRank:
 
     def test_zero(self):
         assert numeric_rank(np.zeros((4, 4))) == 0
+
+    @pytest.mark.parametrize("q", [[[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 0.0]], [1.0, 2.0]])
+    def test_rejects_nonfinite_or_non_matrix(self, q):
+        with pytest.raises(ValidationError):
+            numeric_rank(np.asarray(q))
 
     def test_subadditive_on_low_rank_pairs(self):
         rng = rng_stream(207, 0)
